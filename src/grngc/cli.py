@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import copy
+import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -125,12 +126,13 @@ def cmd_simulate(cfg: dict, out: Path, seed: int) -> int:
 
 
 def cmd_infer(cfg: dict, out: Path, seed: int) -> int:
+    tcfg = train_config(cfg, seed)
     d = cfg["data"]
     if d["source"] == "csv" or d["series"]:
         series = load_csv(d["series"], d["has_header"], d["delimiter"])
     else:
         series, _ = make_data(cfg, seed)
-    report = train(series, train_config(cfg, seed))
+    report = train(series, tcfg)
     out.mkdir(parents=True, exist_ok=True)
     report.gc.to_csv(out / "gc_matrix.csv")
     report.to_json(out / "train_report.json")
@@ -156,6 +158,9 @@ def cmd_run(cfg: dict, out: Path) -> int:
     seeds = cfg["run"]["seeds"]
     lams = cfg["run"]["lams"] or [cfg["train"]["lam"]]
     mode = cfg["eval"]["mode"]
+    base = train_config(cfg, 0)  # a bad config fails before anything is written
+    if cfg["data"]["source"] == "csv" and not cfg["data"]["truth"]:
+        raise CliError("run needs ground truth (simulator source or data.truth)")
     out.mkdir(parents=True, exist_ok=True)
     results = []
     for lam in lams:
@@ -164,15 +169,10 @@ def cmd_run(cfg: dict, out: Path) -> int:
             sub.mkdir(parents=True, exist_ok=True)
             series, truth = make_data(cfg, seed)
             save_csv(series, sub / "series.csv")
-            if truth is not None:
-                _truth_csv(truth, sub / "truth.csv")
-            tcfg = train_config(cfg, seed)
-            tcfg.lam = lam
-            report = train(series, tcfg)
+            _truth_csv(truth, sub / "truth.csv")
+            report = train(series, dataclasses.replace(base, seed=seed, lam=lam))
             report.gc.to_csv(sub / "gc_matrix.csv")
             report.to_json(sub / "train_report.json")
-            if truth is None:
-                raise CliError("run needs ground truth (simulator source or data.truth)")
             metrics = evaluate(report.gc.scores, truth.matrix, mode)
             write_metrics(metrics, sub / "metrics.json")
             results.append({"lam": lam, "seed": seed, **metrics,

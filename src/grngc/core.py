@@ -1,6 +1,6 @@
-"""GRNGC itself: prediction loss, input-gradient causal scores, the L1
-penalty on those gradients (optimized by exact double backprop), Adam
-training, and final score-matrix extraction."""
+"""GRNGC itself: prediction loss, the L1 penalty on the forecaster's
+per-sample input Jacobian (optimized by exact double backprop), Adam
+training, and the causal scores read off the same Jacobian."""
 from __future__ import annotations
 
 import dataclasses
@@ -13,8 +13,8 @@ import numpy as np
 from . import diffengine as de
 from .datagen import TimeSeries, WindowedDataset, make_windows, standardize
 from .forecasters import (Backbone, count_parameters, forward_graph,
-                          init_backbone, make_param_nodes, param_arrays,
-                          set_param_arrays)
+                          forward_jacobian, init_backbone, make_param_nodes,
+                          param_arrays, set_param_arrays)
 from .splines import SplineSpec
 
 
@@ -24,7 +24,8 @@ class TrainError(Exception):
 
 @dataclass
 class GcMatrix:
-    """scores[j, i] is the averaged |d s_j / d x_i| score for edge i -> j."""
+    """scores[j, i] is the mean |d xhat_j / d x_i| over samples and lags, the
+    score for edge i -> j."""
 
     scores: np.ndarray
 
@@ -67,12 +68,23 @@ class TrainConfig:
     val_fraction: float = 0.1
 
     def __post_init__(self):
-        if self.lam < 0:
-            raise TrainError(f"lambda must be >= 0, got {self.lam}")
-        if self.epochs < 1:
-            raise TrainError(f"epochs must be >= 1, got {self.epochs}")
-        if not 0 <= self.val_fraction < 0.5:
-            raise TrainError(f"val_fraction must be in [0, 0.5), got {self.val_fraction}")
+        checks = [
+            (self.lam >= 0, f"lambda must be >= 0, got {self.lam}"),
+            (self.lr > 0, f"lr must be > 0, got {self.lr}"),
+            (self.lag >= 1, f"lag must be >= 1, got {self.lag}"),
+            (self.epochs >= 1, f"epochs must be >= 1, got {self.epochs}"),
+            (self.batch_size >= 0, f"batch_size must be >= 0, got {self.batch_size}"),
+            (all(h >= 1 for h in self.hidden),
+             f"hidden sizes must be >= 1, got {list(self.hidden)}"),
+            (self.degree >= 1, f"degree must be >= 1, got {self.degree}"),
+            (self.grid_size >= 2, f"grid_size must be >= 2, got {self.grid_size}"),
+            (self.patience >= 1, f"patience must be >= 1, got {self.patience}"),
+            (0 <= self.val_fraction < 0.5,
+             f"val_fraction must be in [0, 0.5), got {self.val_fraction}"),
+        ]
+        for ok, message in checks:
+            if not ok:
+                raise TrainError(message)
 
     def spline_spec(self) -> SplineSpec:
         return SplineSpec(degree=self.degree, grid_size=self.grid_size)
@@ -104,11 +116,8 @@ class TrainReport:
             json.dump(doc, fh, indent=2)
 
 
-def _build_forward(backbone: Backbone, inputs: np.ndarray):
-    x = de.variable(inputs)
-    params = make_param_nodes(backbone)
-    pred = forward_graph(backbone, x, params)
-    return x, params, pred
+# windows per Jacobian block when scoring; bounds the memory of the layer factors
+SCORE_CHUNK = 256
 
 
 def _mse(pred: de.Node, targets: np.ndarray) -> de.Node:
@@ -117,76 +126,41 @@ def _mse(pred: de.Node, targets: np.ndarray) -> de.Node:
 
 def prediction_loss(backbone: Backbone, dataset: WindowedDataset) -> de.Node:
     """Mean squared error of the one-step prediction over samples and outputs."""
-    _, _, pred = _build_forward(backbone, dataset.inputs)
+    pred = forward_graph(backbone, de.constant(dataset.inputs), make_param_nodes(backbone))
     return _mse(pred, dataset.targets)
 
 
-def summed_outputs(backbone: Backbone, dataset: WindowedDataset):
-    """One differentiable scalar per output series: s_j = sum_t xhat_{t,j}.
-
-    Returns (list of p scalar nodes, the shared input node they depend on).
-    """
-    x, _, pred = _build_forward(backbone, dataset.inputs)
-    s = [de.reduce_sum(de.narrow(pred, 1, j, 1)) for j in range(dataset.p)]
-    return s, x
-
-
-def input_gradient_matrix(s_j: de.Node, x: de.Node, lag: int,
-                          create_graph: bool = False) -> de.Node:
-    """Gradient of s_j w.r.t. every input element, shaped (sample, lag, var)."""
-    (g,) = de.backward(s_j, [x], create_graph=create_graph)
-    n, kp = x.shape
-    return de.reshape(g, (n, lag, kp // lag))
-
-
-def gc_average(gradients: de.Node) -> de.Node:
-    """Row of the causal matrix: mean of |gradient| over samples and lags."""
-    return de.reduce_mean(de.reduce_mean(de.absval(gradients), axis=0), axis=0)
-
-
-def sparsity_loss(gc_rows, lam: float) -> de.Node:
-    """lambda * sum of L1 norms of the causal-score rows.
-
-    Rows are element-wise absolute values already, so the L1 norm is the sum."""
-    total = de.reduce_sum(gc_rows[0])
-    for row in gc_rows[1:]:
-        total = de.add(total, de.reduce_sum(row))
-    return de.scale(total, lam)
-
-
 class LossGraph:
-    """Shared-forward graph for one optimization step."""
+    """Objective of one optimization step: prediction MSE plus
+    lambda * sum over (target, source) of the mean |input Jacobian| over
+    samples and lags. The Jacobian is built from the forward activations, so
+    one backward of `loss` gives the exact second-order parameter gradients."""
 
     def __init__(self, backbone: Backbone, dataset: WindowedDataset, lam: float):
-        self.x, self.params, pred = _build_forward(backbone, dataset.inputs)
-        self.pred_loss = _mse(pred, dataset.targets)
+        self.params = make_param_nodes(backbone)
+        x = de.constant(dataset.inputs)
         if lam > 0:
-            rows = []
-            for j in range(dataset.p):
-                s_j = de.reduce_sum(de.narrow(pred, 1, j, 1))
-                g = input_gradient_matrix(s_j, self.x, dataset.lag, create_graph=True)
-                rows.append(gc_average(g))
-            self.sparsity = sparsity_loss(rows, lam)
-            self.loss = de.add(self.pred_loss, self.sparsity)
+            pred, jac = forward_jacobian(backbone, x, self.params)
+            self.sparsity = de.scale(de.reduce_sum(de.absval(jac)),
+                                     lam / (dataset.n_samples * dataset.lag))
         else:
+            pred = forward_graph(backbone, x, self.params)
             self.sparsity = de.constant(0.0)
-            self.loss = self.pred_loss
-
-
-def total_loss(backbone: Backbone, dataset: WindowedDataset, lam: float) -> de.Node:
-    """Combined objective: prediction loss plus the gradient-L1 penalty."""
-    return LossGraph(backbone, dataset, lam).loss
+        self.pred_loss = _mse(pred, dataset.targets)
+        self.loss = de.add(self.pred_loss, self.sparsity) if lam > 0 else self.pred_loss
 
 
 def infer_gc_matrix(backbone: Backbone, dataset: WindowedDataset) -> GcMatrix:
-    """Post-hoc causal scores: per-series summed outputs, input gradients,
-    absolute temporal averaging."""
-    s, x = summed_outputs(backbone, dataset)
-    rows = []
-    for j in range(dataset.p):
-        g = input_gradient_matrix(s[j], x, dataset.lag, create_graph=False)
-        rows.append(gc_average(g).value)
-    return GcMatrix(np.stack(rows))
+    """Post-hoc causal scores: mean |input Jacobian| over samples and lags,
+    accumulated over blocks of SCORE_CHUNK windows."""
+    params = [de.constant(a) for a in param_arrays(backbone)]
+    total = np.zeros((backbone.output_dim, backbone.input_dim))
+    for start in range(0, dataset.n_samples, SCORE_CHUNK):
+        x = de.constant(dataset.inputs[start:start + SCORE_CHUNK])
+        _, jac = forward_jacobian(backbone, x, params)
+        total += np.abs(jac.value).sum(axis=0)
+    per_lag = total.reshape(backbone.output_dim, dataset.lag, -1).sum(axis=1)
+    return GcMatrix(per_lag / (dataset.n_samples * dataset.lag))
 
 
 def _adam_step(params, grads, m, v, t, lr, b1=0.9, b2=0.999, eps=1e-8):

@@ -43,7 +43,6 @@ class AdjacencyTruth:
     """matrix[j, i] is True iff series i causes series j."""
 
     matrix: np.ndarray  # (p, p) bool
-    include_self: bool = True
 
     def __post_init__(self):
         self.matrix = np.asarray(self.matrix, dtype=bool)
@@ -92,7 +91,7 @@ def lorenz96_truth(p: int) -> AdjacencyTruth:
     for i in range(p):
         for s in (i - 2, i - 1, i, i + 1):
             m[i, s % p] = True
-    return AdjacencyTruth(m, include_self=True)
+    return AdjacencyTruth(m)
 
 
 # largest RK4 step that survives the transient from the x0 ~ F start at
@@ -164,7 +163,7 @@ def simulate_var(coeffs, T: int, noise_sigma: float = 0.1, seed: int = 0,
     truth = np.zeros((p, p), dtype=bool)
     for a in coeffs:
         truth |= a != 0.0
-    return TimeSeries(data), AdjacencyTruth(truth, include_self=True)
+    return TimeSeries(data), AdjacencyTruth(truth)
 
 
 def random_sparse_var1(p: int, density: float, seed: int,

@@ -48,7 +48,7 @@ class Node:
     numeric closures, which is what makes second-order differentiation work.
     """
 
-    __slots__ = ("value", "parents", "vjp", "requires_grad", "op", "_freed", "_cache")
+    __slots__ = ("value", "parents", "vjp", "requires_grad", "op", "_freed")
 
     def __init__(self, value, parents=(), vjp=None, requires_grad=None, op="leaf"):
         self.value = np.asarray(value, dtype=np.float64)
@@ -59,7 +59,6 @@ class Node:
         self.requires_grad = bool(requires_grad)
         self.op = op
         self._freed = False
-        self._cache = None  # memo for derived nodes (e.g. spline bases)
 
     @property
     def shape(self):
@@ -132,6 +131,33 @@ def matmul(a: Node, b: Node) -> Node:
         (a, b),
         lambda g: (matmul(g, transpose(b)), matmul(transpose(a), g)),
         op="matmul",
+    )
+
+
+def einsum(spec: str, a: Node, b: Node) -> Node:
+    """Two-operand contraction in explicit `np.einsum` notation, e.g.
+    "boh,bhi->boi". Labels may not repeat within one operand, and every
+    label of an operand must also appear in the other operand or the output,
+    so that each gradient is itself an einsum of the upstream gradient with
+    the other operand."""
+    inputs, out = spec.replace(" ", "").split("->")
+    sa, sb = inputs.split(",")
+    sizes: dict[str, int] = {}
+    for labels, shape in ((sa, a.shape), (sb, b.shape)):
+        if len(labels) != len(shape) or len(set(labels)) != len(labels):
+            raise ShapeMismatch(f"einsum {spec}", a.shape, b.shape)
+        for label, n in zip(labels, shape):
+            if sizes.setdefault(label, n) != n:
+                raise ShapeMismatch(f"einsum {spec}", a.shape, b.shape)
+    if (len(set(out)) != len(out) or not set(out) <= set(sa + sb)
+            or not set(sa) <= set(sb + out) or not set(sb) <= set(sa + out)):
+        raise ShapeMismatch(f"einsum {spec}", a.shape, b.shape)
+    return Node(
+        np.einsum(spec, a.value, b.value, optimize=True),
+        (a, b),
+        lambda g: (einsum(f"{out},{sb}->{sa}", g, b) if a.requires_grad else None,
+                   einsum(f"{out},{sa}->{sb}", g, a) if b.requires_grad else None),
+        op="einsum",
     )
 
 

@@ -1,7 +1,8 @@
 """Forecasting backbones behind one interface: KAN (SiLU base + B-spline
 edge functions) and a SiLU MLP. Both map a flattened lag window of k*p values
-to a p-vector prediction and are built entirely from diffengine primitives,
-so input gradients and double backprop are available."""
+to a p-vector prediction and are built entirely from diffengine primitives.
+The same layer loop can also build the per-sample input Jacobian from the
+forward activations, as a graph that a single backward differentiates."""
 from __future__ import annotations
 
 import json
@@ -109,8 +110,15 @@ def make_param_nodes(backbone: Backbone) -> list[de.Node]:
     return [de.variable(a) for a in param_arrays(backbone)]
 
 
-def forward_graph(backbone: Backbone, x: de.Node, param_nodes: list[de.Node]) -> de.Node:
-    """Forward pass as a graph over the given input and parameter nodes."""
+def _dsilu(h: de.Node, s: de.Node) -> de.Node:
+    """silu'(h) = s * (1 + h * (1 - s)), given s = sigmoid(h)."""
+    one = de.constant(1.0)
+    return de.mul(s, de.add(one, de.mul(h, de.sub(one, s))))
+
+
+def _layers(backbone: Backbone, x: de.Node, param_nodes: list[de.Node], jacobian: bool):
+    """Prediction, and with `jacobian` the per-sample input Jacobian
+    (batch, n_out, n_in) chained from the layer factors."""
     if x.value.ndim != 2 or x.shape[1] != backbone.input_dim:
         raise BackboneError(
             f"forward: window shape {x.shape} incompatible with input_dim "
@@ -119,23 +127,55 @@ def forward_graph(backbone: Backbone, x: de.Node, param_nodes: list[de.Node]) ->
     h = x
     i = 0
     n_layers = len(backbone.layers)
+    # (einsum spec, node) pairs that right-multiply the Jacobian from the output side
+    factors = []
     for li, (n_in, n_out) in enumerate(zip(backbone.sizes[:-1], backbone.sizes[1:])):
         if backbone.kind == KAN:
             wb, ws, c = param_nodes[i:i + 3]
             i += 3
             K = backbone.spec.n_basis
-            base = de.matmul(de.silu(h), de.transpose(wb))
-            basis = basis_node(h, backbone.spec)
-            flat = de.reshape(basis, (batch, n_in * K))
-            eff = de.reshape(de.mul(de.expand(ws, 2, K), c), (n_out, n_in * K))
-            h = de.add(base, de.matmul(flat, de.transpose(eff)))
+            s = de.sigmoid(h)
+            eff = de.mul(de.expand(ws, 2, K), c)
+            dbasis = basis_node(h, backbone.spec, 1) if jacobian else None
+            basis = basis_node(h, backbone.spec, dbasis=dbasis)
+            base = de.matmul(de.mul(h, s), de.transpose(wb))
+            spline = de.matmul(de.reshape(basis, (batch, n_in * K)),
+                               de.transpose(de.reshape(eff, (n_out, n_in * K))))
+            if jacobian:
+                edge = de.add(de.einsum("oi,bi->boi", wb, _dsilu(h, s)),
+                              de.einsum("oik,bik->boi", eff, dbasis))
+                factors.append(("boh,bhi->boi", edge))
+            h = de.add(base, spline)
         else:
             w, b = param_nodes[i:i + 2]
             i += 2
             h = de.add_rowvec(de.matmul(h, de.transpose(w)), b)
+            if jacobian:
+                factors.append(("boh,hi->boi", w))
             if li < n_layers - 1:
-                h = de.silu(h)
-    return h
+                s = de.sigmoid(h)
+                if jacobian:
+                    factors.append(("boh,bh->boh", _dsilu(h, s)))
+                h = de.mul(h, s)
+    if not jacobian:
+        return h, None
+    jac = factors.pop()[1]
+    if jac.value.ndim == 2:
+        jac = de.expand(jac, 0, batch)
+    for spec, factor in reversed(factors):
+        jac = de.einsum(spec, jac, factor)
+    return h, jac
+
+
+def forward_graph(backbone: Backbone, x: de.Node, param_nodes: list[de.Node]) -> de.Node:
+    """Forward pass as a graph over the given input and parameter nodes."""
+    return _layers(backbone, x, param_nodes, jacobian=False)[0]
+
+
+def forward_jacobian(backbone: Backbone, x: de.Node, param_nodes: list[de.Node]):
+    """Prediction (batch, n_out) and per-sample input Jacobian
+    J[b, o, i] = d pred[b, o] / d x[b, i], both as differentiable graphs."""
+    return _layers(backbone, x, param_nodes, jacobian=True)
 
 
 def forward(backbone: Backbone, windows: np.ndarray) -> np.ndarray:

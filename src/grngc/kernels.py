@@ -1,33 +1,13 @@
-"""Hot numeric kernels: B-spline basis evaluation and Lorenz-96 integration.
-
-Each kernel has a numba @njit implementation and a pure-numpy fallback.
-Set GRNGC_NUMBA=0 to force the numpy path; otherwise numba is used when
-importable. GRNGC_THREADS caps numba's internal thread pool.
-"""
+"""Hot numeric kernels, in numpy: B-spline basis evaluation and Lorenz-96
+integration."""
 from __future__ import annotations
-
-import os
 
 import numpy as np
 
-_want_numba = os.environ.get("GRNGC_NUMBA", "1") != "0"
-if _want_numba:
-    try:
-        import numba
-        from numba import njit
-
-        _threads = os.environ.get("GRNGC_THREADS")
-        if _threads:
-            numba.set_num_threads(max(1, int(_threads)))
-        HAS_NUMBA = True
-    except ImportError:
-        HAS_NUMBA = False
-else:
-    HAS_NUMBA = False
-
 
 def backend_name() -> str:
-    return "numba" if HAS_NUMBA else "numpy"
+    """Name of the numeric backend the kernels run on."""
+    return "numpy"
 
 
 # ---------------------------------------------------------------------------
@@ -38,7 +18,16 @@ def backend_name() -> str:
 # limit there and partition of unity holds on the closed domain.
 # ---------------------------------------------------------------------------
 
-def _bspline_numpy(x, knots, degree, deriv, hi, last_interior):
+def bspline_basis_kernel(x: np.ndarray, knots: np.ndarray, degree: int, deriv: int = 0) -> np.ndarray:
+    """Basis values (or their deriv-th derivative) for a flat batch of points.
+
+    Returns an (n, n_basis) array with n_basis = len(knots) - degree - 1.
+    Points are assumed already clamped to the knot domain.
+    """
+    x = np.ascontiguousarray(x, dtype=np.float64)
+    knots = np.ascontiguousarray(knots, dtype=np.float64)
+    hi = knots[-(degree + 1)]
+    last_interior = knots.shape[0] - degree - 2
     n = x.shape[0]
     m = knots.shape[0]
     d0 = degree - deriv
@@ -61,69 +50,6 @@ def _bspline_numpy(x, knots, degree, deriv, hi, last_interior):
     return b
 
 
-if HAS_NUMBA:
-
-    @njit(cache=True, parallel=True)
-    def _bspline_nb(x, knots, degree, deriv, hi, last_interior):  # pragma: no cover
-        n = x.shape[0]
-        m = knots.shape[0]
-        d0 = degree - deriv
-        out = np.zeros((n, m - degree - 1))
-        if d0 < 0:
-            return out
-        step = knots[1] - knots[0]  # uniform knots
-        for s in numba.prange(n):
-            xv = x[s]
-            b = np.zeros(m - 1)
-            if xv == hi:
-                idx = last_interior
-            else:
-                idx = int((xv - knots[0]) / step)
-                if idx < 0:
-                    idx = 0
-                if idx > m - 2:
-                    idx = m - 2
-                while idx > 0 and xv < knots[idx]:
-                    idx -= 1
-                while idx < m - 2 and xv >= knots[idx + 1]:
-                    idx += 1
-            b[idx] = 1.0
-            for d in range(1, d0 + 1):
-                lo_i = idx - d if idx - d > 0 else 0
-                hi_i = idx if idx < m - 1 - d else m - 1 - d
-                for i in range(lo_i, hi_i + 1):
-                    acc = 0.0
-                    den1 = knots[i + d] - knots[i]
-                    if den1 > 0.0:
-                        acc += (xv - knots[i]) / den1 * b[i]
-                    den2 = knots[i + d + 1] - knots[i + 1]
-                    if den2 > 0.0:
-                        acc += (knots[i + d + 1] - xv) / den2 * b[i + 1]
-                    b[i] = acc
-            for j in range(d0 + 1, degree + 1):
-                for i in range(m - 1 - j):
-                    b[i] = j * (b[i] / (knots[i + j] - knots[i])
-                                - b[i + 1] / (knots[i + j + 1] - knots[i + 1]))
-            for i in range(m - degree - 1):
-                out[s, i] = b[i]
-        return out
-
-
-def bspline_basis_kernel(x: np.ndarray, knots: np.ndarray, degree: int, deriv: int = 0) -> np.ndarray:
-    """Basis values (or their deriv-th derivative) for a flat batch of points.
-
-    Returns an (n, n_basis) array with n_basis = len(knots) - degree - 1.
-    Points are assumed already clamped to the knot domain.
-    """
-    x = np.ascontiguousarray(x, dtype=np.float64)
-    knots = np.ascontiguousarray(knots, dtype=np.float64)
-    hi = knots[-(degree + 1)]
-    last_interior = knots.shape[0] - degree - 2
-    if HAS_NUMBA:
-        return _bspline_nb(x, knots, degree, deriv, hi, last_interior)
-    return _bspline_numpy(x, knots, degree, deriv, hi, last_interior)
-
-
 # ---------------------------------------------------------------------------
 # Lorenz-96: dx_i/dt = -x_{i-1}(x_{i-2} - x_{i+1}) - x_i + F, cyclic indices.
 # ---------------------------------------------------------------------------
@@ -132,12 +58,13 @@ def lorenz96_rhs(x: np.ndarray, forcing: float) -> np.ndarray:
     return np.roll(x, 1) * (np.roll(x, -1) - np.roll(x, 2)) - x + forcing
 
 
-def _lorenz96_numpy(x0, forcing, dt, n_steps):
-    p = x0.shape[0]
-    traj = np.empty((n_steps + 1, p))
-    traj[0] = x0
-    x = x0.copy()
-    for s in range(n_steps):
+def lorenz96_trajectory(x0: np.ndarray, forcing: float, dt: float, n_steps: int) -> np.ndarray:
+    """Fixed-step RK4 trajectory, shape (n_steps + 1, p) including the start."""
+    x = np.array(x0, dtype=np.float64)
+    forcing, dt = float(forcing), float(dt)
+    traj = np.empty((int(n_steps) + 1, x.shape[0]))
+    traj[0] = x
+    for s in range(int(n_steps)):
         k1 = lorenz96_rhs(x, forcing)
         k2 = lorenz96_rhs(x + 0.5 * dt * k1, forcing)
         k3 = lorenz96_rhs(x + 0.5 * dt * k2, forcing)
@@ -145,39 +72,3 @@ def _lorenz96_numpy(x0, forcing, dt, n_steps):
         x = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         traj[s + 1] = x
     return traj
-
-
-if HAS_NUMBA:
-
-    @njit(cache=True)
-    def _l96_rhs_nb(x, forcing, out):  # pragma: no cover
-        p = x.shape[0]
-        for i in range(p):
-            out[i] = x[(i - 1) % p] * (x[(i + 1) % p] - x[(i - 2) % p]) - x[i] + forcing
-
-    @njit(cache=True)
-    def _lorenz96_nb(x0, forcing, dt, n_steps):  # pragma: no cover
-        p = x0.shape[0]
-        traj = np.empty((n_steps + 1, p))
-        traj[0] = x0
-        x = x0.copy()
-        k1 = np.empty(p)
-        k2 = np.empty(p)
-        k3 = np.empty(p)
-        k4 = np.empty(p)
-        for s in range(n_steps):
-            _l96_rhs_nb(x, forcing, k1)
-            _l96_rhs_nb(x + 0.5 * dt * k1, forcing, k2)
-            _l96_rhs_nb(x + 0.5 * dt * k2, forcing, k3)
-            _l96_rhs_nb(x + dt * k3, forcing, k4)
-            x = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            traj[s + 1] = x
-        return traj
-
-
-def lorenz96_trajectory(x0: np.ndarray, forcing: float, dt: float, n_steps: int) -> np.ndarray:
-    """Fixed-step RK4 trajectory, shape (n_steps + 1, p) including the start."""
-    x0 = np.ascontiguousarray(x0, dtype=np.float64)
-    if HAS_NUMBA:
-        return _lorenz96_nb(x0, float(forcing), float(dt), int(n_steps))
-    return _lorenz96_numpy(x0, float(forcing), float(dt), int(n_steps))

@@ -56,32 +56,22 @@ def basis_values(x: np.ndarray, spec: SplineSpec, deriv: int = 0) -> np.ndarray:
     return out.reshape(x.shape + (spec.n_basis,))
 
 
-def basis_node(x: de.Node, spec: SplineSpec, deriv: int = 0) -> de.Node:
-    """Graph op: B-spline basis of every element of x, trailing basis axis.
+def basis_node(x: de.Node, spec: SplineSpec, deriv: int = 0,
+               dbasis: de.Node | None = None) -> de.Node:
+    """Graph op: B-spline basis (or its deriv-th derivative) of every element
+    of x, trailing basis axis.
 
-    The backward rule contracts the upstream gradient with the next-order
-    derivative basis (itself a node), so any order of differentiation works.
-    Clamped points get zero gradient past the boundary. Nodes are memoized on
-    x so the p per-series backward passes share one basis evaluation.
+    Inputs are clamped to [lo, hi], so derivatives are zero outside. The
+    backward rule contracts the upstream gradient with the next-order
+    derivative node, so any order of differentiation works: `dbasis` when the
+    caller has already built that node, otherwise one built on demand.
     """
-    if x._cache is None:
-        x._cache = {}
-    key = (spec, deriv)
-    cached = x._cache.get(key)
-    if cached is not None:
-        return cached
-
     values = basis_values(x.value, spec, deriv)
-    inside = (x.value >= spec.lo) & (x.value <= spec.hi)
-    mask = None if inside.all() else de.constant(inside.astype(np.float64))
+    if deriv > 0:
+        values = values * ((x.value >= spec.lo) & (x.value <= spec.hi))[..., None]
 
     def vjp(g):
-        dbasis = basis_node(x, spec, deriv + 1)
-        contracted = de.reduce_sum(de.mul(g, dbasis), axis=x.value.ndim)
-        if mask is not None:
-            contracted = de.mul(contracted, mask)
-        return (contracted,)
+        d = dbasis if dbasis is not None else basis_node(x, spec, deriv + 1)
+        return (de.reduce_sum(de.mul(g, d), axis=x.value.ndim),)
 
-    node = de.Node(values, (x,), vjp, op="bspline")
-    x._cache[key] = node
-    return node
+    return de.Node(values, (x,), vjp, op="bspline")

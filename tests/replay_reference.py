@@ -1,0 +1,45 @@
+"""Per-series replay reference for the GRNGC penalty and scores.
+
+The gradient of each summed output s_j = sum_t xhat_{t,j} with respect to the
+input windows is taken by its own backward pass through the forward graph
+(with create_graph for the penalty, so the outer backward differentiates
+through it). This is the direct reading of the method and costs p backward
+passes; the package builds the same quantities from one per-sample input
+Jacobian. Test oracle only.
+"""
+import numpy as np
+
+import grngc.diffengine as de
+from grngc import forecasters as fc
+
+
+def replay_rows(backbone, dataset, create_graph):
+    """Prediction node, parameter nodes, and one score row per output series:
+    row_j[i] = mean over samples and lags of |d s_j / d x_(lag, i)|."""
+    x = de.variable(dataset.inputs)
+    params = fc.make_param_nodes(backbone)
+    pred = fc.forward_graph(backbone, x, params)
+    n, width = dataset.inputs.shape
+    rows = []
+    for j in range(pred.shape[1]):
+        s_j = de.reduce_sum(de.narrow(pred, 1, j, 1))
+        (g,) = de.backward(s_j, [x], create_graph=create_graph)
+        g = de.reshape(g, (n, dataset.lag, width // dataset.lag))
+        rows.append(de.reduce_mean(de.reduce_mean(de.absval(g), axis=0), axis=0))
+    return pred, params, rows
+
+
+def replay_loss(backbone, dataset, lam):
+    """(loss, prediction loss, sparsity, parameter nodes) as graphs."""
+    pred, params, rows = replay_rows(backbone, dataset, create_graph=True)
+    pred_loss = de.reduce_mean(de.square(de.sub(pred, de.constant(dataset.targets))))
+    sparsity = de.reduce_sum(rows[0])
+    for row in rows[1:]:
+        sparsity = de.add(sparsity, de.reduce_sum(row))
+    sparsity = de.scale(sparsity, lam)
+    return de.add(pred_loss, sparsity), pred_loss, sparsity, params
+
+
+def replay_scores(backbone, dataset):
+    _, _, rows = replay_rows(backbone, dataset, create_graph=False)
+    return np.stack([row.value for row in rows])

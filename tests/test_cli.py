@@ -42,6 +42,19 @@ class TestConfig:
             load_config(None, ["no-equals-sign"])
 
 
+    @pytest.mark.parametrize("item,field", [
+        ("train.hidden=[0]", "hidden"), ("train.degree=0", "degree"),
+        ("train.lr=-1", "lr"), ("train.grid_size=1", "grid_size"),
+    ])
+    def test_bad_train_config_named_error(self, tmp_path, capsys, item, field):
+        out = tmp_path / "x"
+        rc = main(["infer", "--out", str(out)] + FAST_VAR + ["--set", item])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and field in err
+        assert not out.exists()
+
+
 class TestSimulate:
     def test_lorenz_outputs(self, tmp_path):
         out = tmp_path / "sim"
@@ -190,3 +203,17 @@ class TestRun:
         main(args + ["--out", str(b)])
         assert (a / "lam0.001_seed0" / "gc_matrix.csv").read_bytes() == \
                (b / "lam0.001_seed0" / "gc_matrix.csv").read_bytes()
+
+    def test_csv_without_truth_fails_before_training(self, tmp_path, capsys):
+        sim = tmp_path / "sim"
+        main(["simulate", "--out", str(sim), "--set", "data.source=var",
+              "--set", "data.p=3", "--set", "data.T=120"])
+        out = tmp_path / "run"
+        rc = main(["run", "--out", str(out), "--set", "run.seeds=[0]",
+                   "--set", "data.source=csv",
+                   "--set", f"data.series={sim / 'series.csv'}",
+                   "--set", "train.lag=2", "--set", "train.epochs=1",
+                   "--set", "train.hidden=[8]"])
+        assert rc == 1
+        assert "ground truth" in capsys.readouterr().err
+        assert not list(tmp_path.rglob("gc_matrix.csv"))

@@ -5,12 +5,11 @@ import pytest
 
 import grngc.diffengine as de
 from grngc import forecasters as fc
-from grngc.core import (GcMatrix, LossGraph, TrainConfig, TrainError,
-                        gc_average, infer_gc_matrix, input_gradient_matrix,
-                        prediction_loss, sparsity_loss, summed_outputs,
-                        total_loss, train)
+from grngc.core import (SCORE_CHUNK, GcMatrix, LossGraph, TrainConfig,
+                        TrainError, infer_gc_matrix, prediction_loss, train)
 from grngc.datagen import (TimeSeries, WindowedDataset, random_sparse_var1,
                            simulate_var)
+from replay_reference import replay_loss, replay_scores
 
 
 def identity_backbone(p):
@@ -55,93 +54,114 @@ class TestPredictionLoss:
         assert abs(prediction_loss(bb, ds).value - ref) < 1e-12
 
 
+def jacobian(bb, inputs):
+    """Prediction (n, n_out) and per-sample input Jacobian (n, n_out, n_in)."""
+    params = [de.constant(a) for a in fc.param_arrays(bb)]
+    pred, jac = fc.forward_jacobian(bb, de.constant(np.asarray(inputs, dtype=float)), params)
+    return pred.value, jac.value
+
+
 class TestSummedOutputs:
+    """Scores differentiate the summed outputs s_j = sum_t xhat_{t,j}; the
+    Jacobian pass yields the prediction those sums are taken over."""
+
     def test_zero_predictor(self):
-        ds = WindowedDataset(np.ones((4, 3)), np.zeros((4, 3)), lag=1)
-        s, _ = summed_outputs(zero_backbone(3, 3), ds)
-        assert all(sj.value == 0.0 for sj in s)
+        pred, jac = jacobian(zero_backbone(3, 3), np.ones((4, 3)))
+        assert np.all(pred == 0.0) and np.all(jac == 0.0)
 
     def test_column_sums(self):
         inputs = np.array([[1.0, 2.0], [3.0, 4.0]])
-        ds = WindowedDataset(inputs, inputs, lag=1)
-        s, _ = summed_outputs(identity_backbone(2), ds)
-        assert [sj.value for sj in s] == [4.0, 6.0]
+        pred, _ = jacobian(identity_backbone(2), inputs)
+        assert list(pred.sum(axis=0)) == [4.0, 6.0]
 
     def test_copy_variable_sum(self):
         rng = np.random.default_rng(2)
         inputs = rng.normal(size=(7, 3))
-        ds = WindowedDataset(inputs, inputs, lag=1)
-        s, _ = summed_outputs(identity_backbone(3), ds)
+        pred, jac = jacobian(identity_backbone(3), inputs)
         for j in range(3):
-            assert s[j].value == pytest.approx(inputs[:, j].sum(), abs=1e-12)
+            assert pred[:, j].sum() == pytest.approx(inputs[:, j].sum(), abs=1e-12)
+        assert np.array_equal(jac, np.broadcast_to(np.eye(3), (7, 3, 3)))
 
 
 class TestInputGradientMatrix:
+    """The per-sample input Jacobian built from the layer factors."""
+
     def test_linear_coefficient(self):
         # predictor for series j is a * (variable i at the last lag)
         p, k = 3, 2
         a = 1.7
         w = np.zeros((p, k * p))
         w[1, (k - 1) * p + 2] = a  # output 1 reads variable 2 at the last lag
-        bb = linear_backbone(w)
         rng = np.random.default_rng(0)
-        ds = WindowedDataset(rng.normal(size=(5, k * p)), rng.normal(size=(5, p)), lag=k)
-        s, x = summed_outputs(bb, ds)
-        g = input_gradient_matrix(s[1], x, k).value
-        assert g.shape == (5, k, p)
-        expected = np.zeros((5, k, p))
-        expected[:, k - 1, 2] = a
-        assert np.array_equal(g, expected)
+        _, jac = jacobian(linear_backbone(w), rng.normal(size=(5, k * p)))
+        assert jac.shape == (5, p, k * p)
+        expected = np.zeros((5, p, k * p))
+        expected[:, 1, (k - 1) * p + 2] = a
+        assert np.array_equal(jac, expected)
 
     def test_constant_predictor_zero(self):
-        ds = WindowedDataset(np.ones((4, 2)), np.ones((4, 2)), lag=1)
         bb = zero_backbone(2, 2)
         bb.layers[0].bias[:] = 3.0
-        s, x = summed_outputs(bb, ds)
-        g = input_gradient_matrix(s[0], x, 1).value
-        assert np.all(g == 0.0)
+        _, jac = jacobian(bb, np.ones((4, 2)))
+        assert np.all(jac == 0.0)
 
     def test_kan_vs_finite_differences(self):
         rng = np.random.default_rng(3)
         bb = fc.init_backbone("kan", [4, 5, 2], seed=3)
         inputs = rng.uniform(-1.5, 1.5, (3, 4))
-        ds = WindowedDataset(inputs, rng.normal(size=(3, 2)), lag=2)
-        s, x = summed_outputs(bb, ds)
-        g = input_gradient_matrix(s[0], x, 2).value.reshape(3, 4)
+        _, jac = jacobian(bb, inputs)
 
         def f(v):
             return float(fc.forward(bb, v).sum(axis=0)[0])
 
         fd = de.finite_difference(f, inputs.copy(), step=1e-5)
-        assert np.max(np.abs(g - fd)) / (np.max(np.abs(fd)) + 1e-12) < 1e-5
+        assert np.max(np.abs(jac[:, 0, :] - fd)) / (np.max(np.abs(fd)) + 1e-12) < 1e-5
+
+    @pytest.mark.parametrize("kind", ["kan", "mlp"])
+    def test_two_hidden_layers_vs_finite_differences(self, kind):
+        # inputs reach past the spline grid [-2, 2], where B' is zero
+        rng = np.random.default_rng(12)
+        bb = fc.init_backbone(kind, [4, 5, 3, 2], seed=12)
+        inputs = rng.uniform(-3.0, 3.0, (3, 4))
+        _, jac = jacobian(bb, inputs)
+        for o in range(2):
+            fd = de.finite_difference(lambda v: float(fc.forward(bb, v)[:, o].sum()),
+                                      inputs.copy(), step=1e-6)
+            assert np.max(np.abs(jac[:, o, :] - fd)) / (np.max(np.abs(fd)) + 1e-12) < 1e-5
 
 
 class TestGcAverage:
+    """Scores average |Jacobian| over samples and lags, abs first."""
+
     def test_zero(self):
-        row = gc_average(de.constant(np.zeros((4, 2, 3))))
-        assert np.all(row.value == 0.0)
+        ds = WindowedDataset(np.ones((4, 6)), np.ones((4, 3)), lag=2)
+        assert np.all(infer_gc_matrix(zero_backbone(6, 3), ds).scores == 0.0)
 
     def test_constant_negative(self):
-        g = np.zeros((5, 2, 4))
-        g[:, :, 3] = -2.0
-        row = gc_average(de.constant(g))
-        assert np.array_equal(row.value, [0.0, 0.0, 0.0, 2.0])
+        w = np.zeros((4, 8))
+        w[0, [3, 7]] = -2.0  # output 0 reads variable 3 at both lags
+        ds = WindowedDataset(np.ones((5, 8)), np.ones((5, 4)), lag=2)
+        scores = infer_gc_matrix(linear_backbone(w), ds).scores
+        assert np.array_equal(scores[0], [0.0, 0.0, 0.0, 2.0])
 
     def test_abs_before_mean(self):
-        g = np.zeros((4, 1, 2))
-        g[:, 0, 0] = [1.0, -1.0, 1.0, -1.0]
-        row = gc_average(de.constant(g))
-        assert row.value[0] == 1.0
+        w = np.zeros((2, 4))
+        w[0, 0], w[0, 2] = 1.0, -1.0  # opposite signs at the two lags
+        ds = WindowedDataset(np.ones((4, 4)), np.ones((4, 2)), lag=2)
+        assert infer_gc_matrix(linear_backbone(w), ds).scores[0, 0] == 1.0
 
 
 class TestSparsityLoss:
+    """LossGraph.sparsity: lambda * sum of the score-matrix entries."""
+
     def test_lambda_zero(self):
-        rows = [de.constant(np.array([5.0, 1.0]))]
-        assert sparsity_loss(rows, 0.0).value == 0.0
+        ds = WindowedDataset(np.ones((3, 2)), np.ones((3, 2)), lag=1)
+        assert LossGraph(identity_backbone(2), ds, 0.0).sparsity.value == 0.0
 
     def test_hand_value(self):
-        rows = [de.constant(np.array([1.0, 2.0])), de.constant(np.array([3.0, 4.0]))]
-        assert sparsity_loss(rows, 0.1).value == pytest.approx(1.0, abs=1e-12)
+        ds = WindowedDataset(np.ones((3, 2)), np.ones((3, 2)), lag=1)
+        graph = LossGraph(linear_backbone(np.array([[1.0, 2.0], [3.0, -4.0]])), ds, 0.1)
+        assert graph.sparsity.value == pytest.approx(1.0, abs=1e-12)
 
     def test_weight_gradient_vs_finite_differences(self):
         rng = np.random.default_rng(4)
@@ -165,10 +185,6 @@ class TestSparsityLoss:
         assert np.max(np.abs(got - fd)) / (np.max(np.abs(fd)) + 1e-12) < 1e-4
 
 
-def shapes_to_sizes(shapes):
-    return [np.empty(s) for s in shapes]
-
-
 def unflatten(theta, shapes):
     parts = []
     off = 0
@@ -180,17 +196,19 @@ def unflatten(theta, shapes):
 
 
 class TestTotalLoss:
+    """LossGraph.loss: prediction loss plus the sparsity penalty."""
+
     def test_lambda_zero_equals_prediction(self):
         rng = np.random.default_rng(5)
         bb = fc.init_backbone("kan", [4, 3, 2], seed=5)
         ds = WindowedDataset(rng.uniform(-1, 1, (5, 4)), rng.normal(size=(5, 2)), lag=2)
-        assert total_loss(bb, ds, 0.0).value == prediction_loss(bb, ds).value
+        assert LossGraph(bb, ds, 0.0).loss.value == prediction_loss(bb, ds).value
 
     def test_perfect_predictor_zero_gradients(self):
         x = np.random.default_rng(6).normal(size=(5, 2))
         bb = zero_backbone(2, 2)
         ds = WindowedDataset(x, np.zeros((5, 2)), lag=1)
-        assert total_loss(bb, ds, 1.0).value == 0.0
+        assert LossGraph(bb, ds, 1.0).loss.value == 0.0
 
     def test_additivity(self):
         rng = np.random.default_rng(7)
@@ -198,6 +216,56 @@ class TestTotalLoss:
         ds = WindowedDataset(rng.uniform(-1, 1, (5, 4)), rng.normal(size=(5, 2)), lag=2)
         graph = LossGraph(bb, ds, 1e-2)
         assert abs(graph.loss.value - (graph.pred_loss.value + graph.sparsity.value)) < 1e-9
+
+    def test_no_backward_call(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("LossGraph called backward")
+
+        monkeypatch.setattr(de, "backward", refuse)
+        rng = np.random.default_rng(8)
+        bb = fc.init_backbone("kan", [4, 3, 2], seed=8)
+        ds = WindowedDataset(rng.uniform(-1, 1, (5, 4)), rng.normal(size=(5, 2)), lag=2)
+        LossGraph(bb, ds, 1e-2)
+
+
+BACKBONES = [(kind, hidden) for kind in ("kan", "mlp") for hidden in ([], [4], [5, 3])]
+
+
+def max_err(got, ref):
+    return np.max(np.abs(np.asarray(got) - np.asarray(ref))) / max(1.0, np.max(np.abs(ref)))
+
+
+class TestReplayExactness:
+    """Single-pass Jacobian against one backward replay per output series."""
+
+    def case(self, kind, hidden, n):
+        rng = np.random.default_rng(len(hidden) + 10 * (kind == "kan"))
+        lag, p = 2, 3
+        bb = fc.init_backbone(kind, [lag * p, *hidden, p], seed=int(rng.integers(100)))
+        # half the inputs fall outside the spline grid [-2, 2]
+        ds = WindowedDataset(rng.uniform(-4, 4, (n, lag * p)), rng.normal(size=(n, p)), lag)
+        return bb, ds
+
+    @pytest.mark.parametrize("kind,hidden", BACKBONES)
+    def test_loss_and_gradients(self, kind, hidden):
+        bb, ds = self.case(kind, hidden, 6)
+        lam = 0.03
+        graph = LossGraph(bb, ds, lam)
+        loss, pred_loss, sparsity, params = replay_loss(bb, ds, lam)
+        assert max_err(graph.loss.value, loss.value) < 1e-10
+        assert max_err(graph.sparsity.value, sparsity.value) < 1e-10
+        for root in ("loss", "sparsity"):
+            graph = LossGraph(bb, ds, lam)
+            ref = replay_loss(bb, ds, lam)
+            got = de.backward(getattr(graph, root), graph.params)
+            want = de.backward(ref[0] if root == "loss" else ref[2], ref[3])
+            for g, w in zip(got, want):
+                assert max_err(g.value, w.value) < 1e-10
+
+    @pytest.mark.parametrize("kind,hidden", BACKBONES)
+    def test_scores_across_chunks(self, kind, hidden):
+        bb, ds = self.case(kind, hidden, SCORE_CHUNK + 5)
+        assert max_err(infer_gc_matrix(bb, ds).scores, replay_scores(bb, ds)) < 1e-10
 
 
 class TestInferGcMatrix:
@@ -294,6 +362,12 @@ class TestTrain:
             TrainConfig(epochs=0)
         with pytest.raises(TrainError):
             TrainConfig(val_fraction=0.7)
+        for bad in ({"lr": 0.0}, {"lr": -1.0}, {"lag": 0}, {"batch_size": -1},
+                    {"hidden": (8, 0)}, {"patience": 0}, {"degree": 0},
+                    {"grid_size": 1}):
+            with pytest.raises(TrainError):
+                TrainConfig(**bad)
+        TrainConfig(hidden=(), batch_size=0)  # no hidden layer, full batch
 
     def test_report_serializes(self, tmp_path):
         rng = np.random.default_rng(3)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import grngc.diffengine as de
 
@@ -149,6 +151,74 @@ class TestBackward:
 
         fd = de.finite_difference(f, x0.copy(), step=1e-5)
         assert relerr(g.value, fd) < 1e-6
+
+
+# the contraction patterns the forecasters use, plus a plain matrix product
+EINSUM_SPECS = ["ij,jk->ik", "oi,bi->boi", "oik,bik->boi", "boh,bhi->boi",
+                "boh,hi->boi", "boh,bh->boh"]
+
+
+class TestEinsum:
+    def test_matches_numpy(self):
+        rng = np.random.default_rng(0)
+        a, b = rng.normal(size=(3, 4, 2)), rng.normal(size=(5, 4, 2))
+        got = de.einsum("oik,bik->boi", de.constant(a), de.constant(b)).value
+        assert np.allclose(got, np.einsum("oik,bik->boi", a, b), atol=1e-14)
+
+    @pytest.mark.parametrize("spec,shapes", [
+        ("ij,jk->ik", ((2, 3), (4, 5))),   # contracted sizes differ
+        ("ij,jk->il", ((2, 3), (3, 5))),   # output label in no operand
+        ("ii,ij->j", ((2, 2), (2, 3))),    # repeated label
+        ("ij,jk->k", ((2, 3), (3, 5))),    # label i only in one operand
+        ("ijk,jk->i", ((2, 3), (3, 4))),   # rank differs from labels
+    ])
+    def test_bad_spec_named(self, spec, shapes):
+        a, b = (de.constant(np.ones(s)) for s in shapes)
+        with pytest.raises(de.ShapeMismatch, match="einsum"):
+            de.einsum(spec, a, b)
+
+    @settings(max_examples=40, deadline=None)
+    @given(spec=st.sampled_from(EINSUM_SPECS),
+           dims=st.lists(st.integers(1, 3), min_size=4, max_size=4),
+           seed=st.integers(0, 2 ** 16))
+    def test_first_and_second_derivatives_vs_finite_differences(self, spec, dims, seed):
+        inputs, _ = spec.split("->")
+        sa, sb = inputs.split(",")
+        size = dict(zip(sorted(set(sa + sb)), dims))
+        rng = np.random.default_rng(seed)
+        a0 = rng.uniform(-1, 1, [size[c] for c in sa])
+        b0 = rng.uniform(-1, 1, [size[c] for c in sb])
+        out_shape = np.einsum(spec, a0, b0).shape
+        weight = de.constant(rng.uniform(-1, 1, out_shape))
+        va = de.constant(rng.uniform(-1, 1, a0.shape))
+        vb = de.constant(rng.uniform(-1, 1, b0.shape))
+
+        def graph(av, bv):
+            # f = sum(weight * y**2): quadratic in each operand
+            a, b = de.variable(av), de.variable(bv)
+            f = de.reduce_sum(de.mul(weight, de.square(de.einsum(spec, a, b))))
+            return a, b, f
+
+        def directional(av, bv, create_graph):
+            # h = <df/da, va> + <df/db, vb>
+            a, b, f = graph(av, bv)
+            ga, gb = de.backward(f, [a, b], create_graph=create_graph)
+            h = de.add(de.reduce_sum(de.mul(ga, va)), de.reduce_sum(de.mul(gb, vb)))
+            return a, b, h
+
+        a, b, f = graph(a0, b0)
+        ga, gb = de.backward(f, [a, b])
+        fd_a = de.finite_difference(lambda v: float(graph(v, b0)[2].value), a0.copy())
+        fd_b = de.finite_difference(lambda v: float(graph(a0, v)[2].value), b0.copy())
+        assert relerr(ga.value, fd_a) < 1e-6 and relerr(gb.value, fd_b) < 1e-6
+
+        a, b, h = directional(a0, b0, create_graph=True)
+        ha, hb = de.backward(h, [a, b])
+        fd_ha = de.finite_difference(
+            lambda v: float(directional(v, b0, False)[2].value), a0.copy())
+        fd_hb = de.finite_difference(
+            lambda v: float(directional(a0, v, False)[2].value), b0.copy())
+        assert relerr(ha.value, fd_ha) < 1e-6 and relerr(hb.value, fd_hb) < 1e-6
 
 
 class TestFiniteDifference:

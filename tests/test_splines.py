@@ -1,7 +1,3 @@
-import os
-import subprocess
-import sys
-
 import numpy as np
 import pytest
 
@@ -71,24 +67,6 @@ class TestBasis:
         got = basis_values(x, spec, deriv)
         fd = (basis_values(x + h, spec, deriv - 1) - basis_values(x - h, spec, deriv - 1)) / (2 * h)
         assert np.max(np.abs(got - fd)) < 1e-6
-
-    def test_matches_numpy_fallback(self, tmp_path):
-        # run the numpy path in a subprocess with numba disabled
-        spec = SplineSpec()
-        x = np.linspace(-2.5, 2.5, 101)
-        out = tmp_path / "fallback.npy"
-        script = (
-            "import numpy as np\n"
-            "from grngc.splines import SplineSpec, basis_values\n"
-            "x = np.linspace(-2.5, 2.5, 101)\n"
-            "vals = [basis_values(x, SplineSpec(), d) for d in range(3)]\n"
-            f"np.save({str(out)!r}, np.stack(vals))\n"
-        )
-        env = dict(os.environ, GRNGC_NUMBA="0")
-        subprocess.run([sys.executable, "-c", script], check=True, env=env)
-        fallback = np.load(out)
-        here = np.stack([basis_values(x, spec, d) for d in range(3)])
-        assert np.max(np.abs(here - fallback)) < 1e-12
 
 
 class TestBasisNode:
