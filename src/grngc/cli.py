@@ -47,11 +47,33 @@ class CliError(Exception):
     pass
 
 
+def _flatten(doc, prefix: str = "") -> dict:
+    """Dotted key -> value for every non-mapping value of a nested mapping."""
+    flat = {}
+    for k, v in doc.items():
+        if isinstance(v, dict):
+            flat.update(_flatten(v, f"{prefix}{k}."))
+        else:
+            flat[f"{prefix}{k}"] = v
+    return flat
+
+
+_FIELDS = _flatten(DEFAULT_CONFIG)
+
+
 def load_config(path: str | None, overrides) -> dict:
-    cfg = copy.deepcopy(DEFAULT_CONFIG)
+    """DEFAULT_CONFIG updated by a JSON file, then by `key=value` overrides.
+    Every key must name a field of DEFAULT_CONFIG."""
+    updates = {}
     if path:
         with open(path) as fh:
-            _merge(cfg, json.load(fh))
+            try:
+                doc = json.load(fh)
+            except json.JSONDecodeError as exc:
+                raise CliError(f"{path}: invalid JSON ({exc})") from None
+        if not isinstance(doc, dict):
+            raise CliError(f"{path}: config must be a JSON object")
+        updates.update(_flatten(doc))
     for item in overrides or []:
         if "=" not in item:
             raise CliError(f"--set expects key=value, got {item!r}")
@@ -60,20 +82,14 @@ def load_config(path: str | None, overrides) -> dict:
             value = json.loads(raw)
         except json.JSONDecodeError:
             value = raw
-        node = cfg
-        parts = key.split(".")
-        for part in parts[:-1]:
-            node = node.setdefault(part, {})
-        node[parts[-1]] = value
+        updates.update(_flatten({key: value}))
+    cfg = copy.deepcopy(DEFAULT_CONFIG)
+    for key, value in updates.items():
+        if key not in _FIELDS:
+            raise CliError(f"unknown config key {key!r}")
+        section, name = key.split(".")
+        cfg[section][name] = value
     return cfg
-
-
-def _merge(base: dict, update: dict) -> None:
-    for k, v in update.items():
-        if isinstance(v, dict) and isinstance(base.get(k), dict):
-            _merge(base[k], v)
-        else:
-            base[k] = v
 
 
 def train_config(cfg: dict, seed: int) -> TrainConfig:

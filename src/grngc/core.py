@@ -47,10 +47,6 @@ class GcMatrix:
     def from_csv(cls, path) -> "GcMatrix":
         return cls(np.loadtxt(path, delimiter=",", ndmin=2))
 
-    def to_json(self, path) -> None:
-        with open(path, "w") as fh:
-            json.dump({"scores": self.scores.tolist()}, fh)
-
 
 @dataclass
 class TrainConfig:
@@ -221,12 +217,13 @@ def train(series: TimeSeries, cfg: TrainConfig) -> TrainReport:
             loss_val = float(graph.loss.value)
             if not np.isfinite(loss_val):
                 raise TrainError(f"non-finite loss at epoch {epoch}")
-            grads = de.backward(graph.loss, graph.params)
-            step += 1
-            _adam_step(params, [g.value for g in grads], m, v, step, cfg.lr)
-            set_param_arrays(backbone, params)
+            grads = [g.value for g in de.backward(graph.loss, graph.params)]
             ep_pred += float(graph.pred_loss.value)
             ep_sparse += float(graph.sparsity.value)
+            del graph  # free this step's graph before the next one is built
+            step += 1
+            _adam_step(params, grads, m, v, step, cfg.lr)
+            set_param_arrays(backbone, params)
             ep_total += loss_val
             n_batches += 1
         report.pred_losses.append(ep_pred / n_batches)

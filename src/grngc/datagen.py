@@ -5,6 +5,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .kernels import lorenz96_trajectory
 
@@ -234,6 +235,9 @@ def make_windows(series: TimeSeries, k: int) -> WindowedDataset:
     if series.T <= k:
         raise DataError(f"need T > k, got T={series.T}, k={k}")
     n = series.T - k
-    inputs = np.stack([series.data[t:t + k].reshape(-1) for t in range(n)])
+    # (n, p, k) windows -> lag-major (n, k*p), copied so the result owns its
+    # memory instead of viewing the series
+    inputs = sliding_window_view(series.data[:-1], k, axis=0)
+    inputs = inputs.transpose(0, 2, 1).reshape(n, k * series.p).copy()
     targets = series.data[k:].copy()
     return WindowedDataset(inputs, targets, k)

@@ -28,14 +28,6 @@ class NonScalarRoot(DiffError):
         super().__init__(f"backward root must be scalar, got shape {shape}")
 
 
-class GraphFreed(DiffError):
-    def __init__(self):
-        super().__init__(
-            "backward already ran on this graph without create_graph; "
-            "intermediates were freed"
-        )
-
-
 class NonFiniteValue(DiffError):
     pass
 
@@ -48,7 +40,7 @@ class Node:
     numeric closures, which is what makes second-order differentiation work.
     """
 
-    __slots__ = ("value", "parents", "vjp", "requires_grad", "op", "_freed")
+    __slots__ = ("value", "parents", "vjp", "requires_grad", "op")
 
     def __init__(self, value, parents=(), vjp=None, requires_grad=None, op="leaf"):
         self.value = np.asarray(value, dtype=np.float64)
@@ -58,7 +50,6 @@ class Node:
             requires_grad = any(p.requires_grad for p in self.parents)
         self.requires_grad = bool(requires_grad)
         self.op = op
-        self._freed = False
 
     @property
     def shape(self):
@@ -123,17 +114,6 @@ def scale(x: Node, s: float) -> Node:
     return Node(x.value * s, (x,), lambda g: (scale(g, s),), op="scale")
 
 
-def matmul(a: Node, b: Node) -> Node:
-    if a.value.ndim != 2 or b.value.ndim != 2 or a.shape[1] != b.shape[0]:
-        raise ShapeMismatch("matmul", a.shape, b.shape)
-    return Node(
-        a.value @ b.value,
-        (a, b),
-        lambda g: (matmul(g, transpose(b)), matmul(transpose(a), g)),
-        op="matmul",
-    )
-
-
 def einsum(spec: str, a: Node, b: Node) -> Node:
     """Two-operand contraction in explicit `np.einsum` notation, e.g.
     "boh,bhi->boi". Labels may not repeat within one operand, and every
@@ -159,12 +139,6 @@ def einsum(spec: str, a: Node, b: Node) -> Node:
                    einsum(f"{out},{sa}->{sb}", g, a) if b.requires_grad else None),
         op="einsum",
     )
-
-
-def transpose(x: Node) -> Node:
-    if x.value.ndim != 2:
-        raise ShapeMismatch("transpose", x.shape)
-    return Node(x.value.T, (x,), lambda g: (transpose(g),), op="transpose")
 
 
 def reshape(x: Node, shape) -> Node:
@@ -219,77 +193,18 @@ def square(x: Node) -> Node:
     return Node(x.value * x.value, (x,), lambda g: (mul(g, scale(x, 2.0)),), op="square")
 
 
-def exp(x: Node) -> Node:
-    out = Node(np.exp(x.value), (x,), None, op="exp")
-    out.vjp = lambda g: (mul(g, out),)
-    return out
-
-
 def sigmoid(x: Node) -> Node:
-    out = Node(1.0 / (1.0 + np.exp(-x.value)), (x,), None, op="sigmoid")
-    out.vjp = lambda g: (mul(g, mul(out, sub(constant(1.0), out))),)
-    return out
+    return _sigmoid(x, 1.0 / (1.0 + np.exp(-x.value)))
 
 
-def silu(x: Node) -> Node:
-    """x * sigmoid(x); composed from primitives so all orders come for free."""
-    return mul(x, sigmoid(x))
-
-
-def concat(nodes: Sequence[Node], axis: int = 0) -> Node:
-    nodes = list(nodes)
-    ndim = nodes[0].value.ndim
-    for n in nodes[1:]:
-        if n.value.ndim != ndim:
-            raise ShapeMismatch("concat", nodes[0].shape, n.shape)
-    sizes = [n.shape[axis] for n in nodes]
-    offsets = np.concatenate([[0], np.cumsum(sizes)])
-
+def _sigmoid(x: Node, s: np.ndarray) -> Node:
+    # the rule builds a fresh node over the same values instead of closing
+    # over its own node, so the graph holds no reference cycle
     def vjp(g):
-        return tuple(
-            narrow(g, axis, int(offsets[i]), sizes[i]) for i in range(len(sizes))
-        )
+        out = _sigmoid(x, s)
+        return (mul(g, mul(out, sub(constant(1.0), out))),)
 
-    return Node(np.concatenate([n.value for n in nodes], axis=axis), nodes, vjp, op="concat")
-
-
-def narrow(x: Node, axis: int, start: int, length: int) -> Node:
-    """Contiguous slice along one axis."""
-    if start < 0 or start + length > x.shape[axis]:
-        raise ShapeMismatch("narrow", x.shape, (axis, start, length))
-    idx = [slice(None)] * x.value.ndim
-    idx[axis] = slice(start, start + length)
-    total = x.shape[axis]
-    return Node(
-        x.value[tuple(idx)],
-        (x,),
-        lambda g: (pad_zeros(g, axis, start, total - start - length),),
-        op="narrow",
-    )
-
-
-def pad_zeros(x: Node, axis: int, before: int, after: int) -> Node:
-    pad = [(0, 0)] * x.value.ndim
-    pad[axis] = (before, after)
-    length = x.shape[axis]
-    return Node(
-        np.pad(x.value, pad),
-        (x,),
-        lambda g: (narrow(g, axis, before, length),),
-        op="pad",
-    )
-
-
-def add_rowvec(m: Node, v: Node) -> Node:
-    """Add a length-n vector to every row of a (batch, n) matrix."""
-    if m.value.ndim != 2 or v.value.ndim != 1 or m.shape[1] != v.shape[0]:
-        raise ShapeMismatch("add_rowvec", m.shape, v.shape)
-    return Node(
-        m.value + v.value[None, :],
-        (m, v),
-        lambda g: (g, reduce_sum(g, axis=0)),
-        op="add_rowvec",
-    )
+    return Node(s, (x,), vjp, op="sigmoid")
 
 
 def _toposort(root: Node) -> list[Node]:
@@ -311,18 +226,13 @@ def _toposort(root: Node) -> list[Node]:
     return order
 
 
-def backward(root: Node, wrt: Sequence[Node], create_graph: bool = False) -> list[Node]:
-    """Gradients of a scalar root with respect to each node in `wrt`.
-
-    With create_graph=True the returned nodes are differentiable and the graph
-    is retained; without it the results are detached constants and a second
-    backward on the same root raises GraphFreed. Nodes unreachable from the
-    root get exact zero gradients.
+def backward(root: Node, wrt: Sequence[Node]) -> list[Node]:
+    """Gradients of a scalar root with respect to each node in `wrt`, as
+    differentiable graph nodes (read `.value` for arrays). Nodes unreachable
+    from the root get exact zero gradients.
     """
     if root.value.shape != ():
         raise NonScalarRoot(root.value.shape)
-    if root._freed:
-        raise GraphFreed()
 
     order = _toposort(root)
     grads: dict[int, Node] = {id(root): constant(1.0)}
@@ -335,18 +245,7 @@ def backward(root: Node, wrt: Sequence[Node], create_graph: bool = False) -> lis
                 continue
             prev = grads.get(id(parent))
             grads[id(parent)] = pg if prev is None else add(prev, pg)
-
-    results = []
-    for w in wrt:
-        g = grads.get(id(w))
-        if g is None:
-            g = constant(np.zeros(w.shape))
-        results.append(g)
-
-    if not create_graph:
-        results = [constant(g.value) for g in results]
-        root._freed = True
-    return results
+    return [grads.get(id(w)) or constant(np.zeros(w.shape)) for w in wrt]
 
 
 def finite_difference(f: Callable[[np.ndarray], float], at, step: float = 1e-5) -> np.ndarray:

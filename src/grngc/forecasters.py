@@ -5,7 +5,6 @@ The same layer loop can also build the per-sample input Jacobian from the
 forward activations, as a graph that a single backward differentiates."""
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -129,18 +128,16 @@ def _layers(backbone: Backbone, x: de.Node, param_nodes: list[de.Node], jacobian
     n_layers = len(backbone.layers)
     # (einsum spec, node) pairs that right-multiply the Jacobian from the output side
     factors = []
-    for li, (n_in, n_out) in enumerate(zip(backbone.sizes[:-1], backbone.sizes[1:])):
+    for li in range(n_layers):
         if backbone.kind == KAN:
             wb, ws, c = param_nodes[i:i + 3]
             i += 3
-            K = backbone.spec.n_basis
             s = de.sigmoid(h)
-            eff = de.mul(de.expand(ws, 2, K), c)
+            eff = de.einsum("oi,oik->oik", ws, c)
             dbasis = basis_node(h, backbone.spec, 1) if jacobian else None
             basis = basis_node(h, backbone.spec, dbasis=dbasis)
-            base = de.matmul(de.mul(h, s), de.transpose(wb))
-            spline = de.matmul(de.reshape(basis, (batch, n_in * K)),
-                               de.transpose(de.reshape(eff, (n_out, n_in * K))))
+            base = de.einsum("bi,oi->bo", de.mul(h, s), wb)
+            spline = de.einsum("bik,oik->bo", basis, eff)
             if jacobian:
                 edge = de.add(de.einsum("oi,bi->boi", wb, _dsilu(h, s)),
                               de.einsum("oik,bik->boi", eff, dbasis))
@@ -149,7 +146,7 @@ def _layers(backbone: Backbone, x: de.Node, param_nodes: list[de.Node], jacobian
         else:
             w, b = param_nodes[i:i + 2]
             i += 2
-            h = de.add_rowvec(de.matmul(h, de.transpose(w)), b)
+            h = de.add(de.einsum("bi,oi->bo", h, w), de.expand(b, 0, batch))
             if jacobian:
                 factors.append(("boh,hi->boi", w))
             if li < n_layers - 1:
@@ -192,32 +189,3 @@ def count_parameters(backbone: Backbone) -> int:
         else:
             n += n_out * (n_in + 1)
     return n
-
-
-def save_backbone(backbone: Backbone, path) -> None:
-    doc = {
-        "kind": backbone.kind,
-        "sizes": backbone.sizes,
-        "spec": {
-            "degree": backbone.spec.degree,
-            "grid_size": backbone.spec.grid_size,
-            "lo": backbone.spec.lo,
-            "hi": backbone.spec.hi,
-        },
-        "seed": backbone.seed,
-        "params": [a.reshape(-1).tolist() for a in param_arrays(backbone)],
-    }
-    with open(path, "w") as fh:
-        json.dump(doc, fh)
-
-
-def load_backbone(path) -> Backbone:
-    with open(path) as fh:
-        doc = json.load(fh)
-    spec = SplineSpec(**doc["spec"])
-    bb = init_backbone(doc["kind"], doc["sizes"], spec, doc["seed"])
-    shaped = []
-    for ref, flat in zip(param_arrays(bb), doc["params"]):
-        shaped.append(np.asarray(flat, dtype=np.float64).reshape(ref.shape))
-    set_param_arrays(bb, shaped)
-    return bb

@@ -1,11 +1,11 @@
 """Per-series replay reference for the GRNGC penalty and scores.
 
 The gradient of each summed output s_j = sum_t xhat_{t,j} with respect to the
-input windows is taken by its own backward pass through the forward graph
-(with create_graph for the penalty, so the outer backward differentiates
-through it). This is the direct reading of the method and costs p backward
-passes; the package builds the same quantities from one per-sample input
-Jacobian. Test oracle only.
+input windows is taken by its own backward pass through the forward graph.
+Those gradients are graph nodes, so the outer backward of the penalty
+differentiates through them. This is the direct reading of the method and
+costs p backward passes; the package builds the same quantities from one
+per-sample input Jacobian. Test oracle only.
 """
 import numpy as np
 
@@ -13,7 +13,7 @@ import grngc.diffengine as de
 from grngc import forecasters as fc
 
 
-def replay_rows(backbone, dataset, create_graph):
+def replay_rows(backbone, dataset):
     """Prediction node, parameter nodes, and one score row per output series:
     row_j[i] = mean over samples and lags of |d s_j / d x_(lag, i)|."""
     x = de.variable(dataset.inputs)
@@ -22,8 +22,9 @@ def replay_rows(backbone, dataset, create_graph):
     n, width = dataset.inputs.shape
     rows = []
     for j in range(pred.shape[1]):
-        s_j = de.reduce_sum(de.narrow(pred, 1, j, 1))
-        (g,) = de.backward(s_j, [x], create_graph=create_graph)
+        one_hot = de.constant(np.eye(pred.shape[1])[j])
+        s_j = de.reduce_sum(de.einsum("bo,o->b", pred, one_hot))
+        (g,) = de.backward(s_j, [x])
         g = de.reshape(g, (n, dataset.lag, width // dataset.lag))
         rows.append(de.reduce_mean(de.reduce_mean(de.absval(g), axis=0), axis=0))
     return pred, params, rows
@@ -31,7 +32,7 @@ def replay_rows(backbone, dataset, create_graph):
 
 def replay_loss(backbone, dataset, lam):
     """(loss, prediction loss, sparsity, parameter nodes) as graphs."""
-    pred, params, rows = replay_rows(backbone, dataset, create_graph=True)
+    pred, params, rows = replay_rows(backbone, dataset)
     pred_loss = de.reduce_mean(de.square(de.sub(pred, de.constant(dataset.targets))))
     sparsity = de.reduce_sum(rows[0])
     for row in rows[1:]:
@@ -41,5 +42,5 @@ def replay_loss(backbone, dataset, lam):
 
 
 def replay_scores(backbone, dataset):
-    _, _, rows = replay_rows(backbone, dataset, create_graph=False)
+    _, _, rows = replay_rows(backbone, dataset)
     return np.stack([row.value for row in rows])

@@ -41,6 +41,41 @@ class TestConfig:
         with pytest.raises(CliError):
             load_config(None, ["no-equals-sign"])
 
+    def test_set_section_as_object(self):
+        cfg = load_config(None, ['train={"lag": 3, "lam": 0.5}'])
+        assert cfg["train"]["lag"] == 3 and cfg["train"]["lam"] == 0.5
+        assert cfg["train"]["lr"] == DEFAULT_CONFIG["train"]["lr"]
+
+    @pytest.mark.parametrize("item,key", [
+        ("data.sourc=var", "data.sourc"), ("train.lamda=0.5", "train.lamda"),
+        ("train.hidden.x=1", "train.hidden.x"), ("model.kind=kan", "model.kind"),
+        ("train=5", "train"), ('train={"lamda": 1}', "train.lamda"),
+    ])
+    def test_unknown_set_key_named_error(self, tmp_path, capsys, item, key):
+        out = tmp_path / "x"
+        rc = main(["infer", "--out", str(out)] + FAST_VAR + ["--set", item])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and repr(key) in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("text,message", [
+        (json.dumps({"train": {"lamda": 0.5}}), "'train.lamda'"),
+        (json.dumps({"train": {"hidden": {"x": 1}}}), "'train.hidden.x'"),
+        (json.dumps({"dat": {"p": 3}}), "'dat.p'"),
+        ('{"train": ', "invalid JSON"),
+        ("[1, 2]", "JSON object"),
+    ])
+    def test_bad_config_file_named_error(self, tmp_path, capsys, text, message):
+        path = tmp_path / "cfg.json"
+        path.write_text(text)
+        out = tmp_path / "x"
+        rc = main(["infer", "--out", str(out), "--config", str(path)] + FAST_VAR)
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert not out.exists()
+
 
     @pytest.mark.parametrize("item,field", [
         ("train.hidden=[0]", "hidden"), ("train.degree=0", "degree"),

@@ -1,4 +1,5 @@
 import dataclasses
+import gc
 
 import numpy as np
 import pytest
@@ -233,6 +234,30 @@ BACKBONES = [(kind, hidden) for kind in ("kan", "mlp") for hidden in ([], [4], [
 
 def max_err(got, ref):
     return np.max(np.abs(np.asarray(got) - np.asarray(ref))) / max(1.0, np.max(np.abs(ref)))
+
+
+class TestGraphLifetime:
+    @pytest.mark.parametrize("kind", ["kan", "mlp"])
+    def test_freed_without_cycle_collector(self, kind):
+        # a graph with a reference cycle would outlive `del` until gc.collect()
+        rng = np.random.default_rng(0)
+        bb = fc.init_backbone(kind, [6, 4, 3], seed=0)
+        ds = WindowedDataset(rng.normal(size=(5, 6)), rng.normal(size=(5, 3)), 2)
+
+        def live_nodes():
+            return sum(isinstance(o, de.Node) for o in gc.get_objects())
+
+        gc.collect()
+        gc.disable()
+        try:
+            before = live_nodes()
+            graph = LossGraph(bb, ds, 1e-2)
+            grads = de.backward(graph.loss, graph.params)
+            del graph, grads
+            after = live_nodes()
+        finally:
+            gc.enable()
+        assert after == before
 
 
 class TestReplayExactness:

@@ -142,15 +142,3 @@ class TestCountParameters:
             bb = fc.init_backbone(kind, [5, 7, 3])
             total = sum(a.size for a in fc.param_arrays(bb))
             assert fc.count_parameters(bb) == total
-
-
-class TestSaveLoad:
-    @pytest.mark.parametrize("kind", ["kan", "mlp"])
-    def test_roundtrip(self, tmp_path, kind):
-        bb = fc.init_backbone(kind, [4, 6, 2], seed=3)
-        path = tmp_path / "model.json"
-        fc.save_backbone(bb, path)
-        loaded = fc.load_backbone(path)
-        assert loaded.kind == bb.kind and loaded.sizes == bb.sizes
-        x = np.random.default_rng(0).normal(size=(2, 4))
-        assert np.array_equal(fc.forward(bb, x), fc.forward(loaded, x))

@@ -91,7 +91,7 @@ class TestBasisNode:
         x0 = np.array([0.37])
         x = de.variable(x0)
         y = de.reduce_sum(de.square(basis_node(x, spec)))
-        (g1,) = de.backward(y, [x], create_graph=True)
+        (g1,) = de.backward(y, [x])
         (g2,) = de.backward(de.reduce_sum(g1), [x])
 
         h = 1e-5
