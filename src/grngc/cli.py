@@ -119,8 +119,7 @@ def make_data(cfg: dict, seed: int) -> tuple[TimeSeries, AdjacencyTruth | None]:
         series = load_csv(d["series"], d["has_header"], d["delimiter"])
         truth = None
         if d["truth"]:
-            raw = np.loadtxt(d["truth"], delimiter=d["delimiter"], ndmin=2)
-            truth = AdjacencyTruth(raw != 0)
+            truth = AdjacencyTruth(load_csv(d["truth"], False, d["delimiter"]).data != 0)
         return series, truth
     raise CliError(f"unknown data source {src!r}")
 
@@ -157,9 +156,9 @@ def cmd_infer(cfg: dict, out: Path, seed: int) -> int:
     return 0
 
 
-def cmd_eval(gc_path, truth_path, mode: str, out: Path | None) -> int:
-    gc = GcMatrix.from_csv(gc_path)
-    truth = np.loadtxt(truth_path, delimiter=",", ndmin=2)
+def cmd_eval(gc_path, truth_path, mode: str, out: Path | None, delimiter: str) -> int:
+    gc = GcMatrix(load_csv(gc_path, False).data)
+    truth = load_csv(truth_path, False, delimiter).data
     if gc.scores.shape != truth.shape:
         raise CliError(f"shape mismatch: scores {gc.scores.shape}, truth {truth.shape}")
     metrics = evaluate(gc.scores, truth != 0, mode)
@@ -231,6 +230,7 @@ def build_parser() -> argparse.ArgumentParser:
     pe.add_argument("truth")
     pe.add_argument("--mode", default=FULL, choices=[FULL, "off_diagonal"])
     pe.add_argument("--out", default=None)
+    pe.add_argument("--delimiter", default=",", help="field separator of the truth file")
     return parser
 
 
@@ -239,7 +239,7 @@ def main(argv=None) -> int:
     try:
         if args.command == "eval":
             out = Path(args.out) if args.out else None
-            return cmd_eval(args.gc_matrix, args.truth, args.mode, out)
+            return cmd_eval(args.gc_matrix, args.truth, args.mode, out, args.delimiter)
         cfg = load_config(args.config, args.set)
         seed = args.seed if args.seed is not None else cfg["data"]["seed"]
         out = Path(args.out)

@@ -15,6 +15,7 @@ from .datagen import TimeSeries, WindowedDataset, make_windows, standardize
 from .forecasters import (Backbone, count_parameters, forward_graph,
                           forward_jacobian, init_backbone, make_param_nodes,
                           param_arrays, set_param_arrays)
+from .kernels import keep_freed_memory
 from .splines import SplineSpec
 
 
@@ -42,10 +43,6 @@ class GcMatrix:
         with open(path, "w") as fh:
             for row in self.scores:
                 fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
-
-    @classmethod
-    def from_csv(cls, path) -> "GcMatrix":
-        return cls(np.loadtxt(path, delimiter=",", ndmin=2))
 
 
 @dataclass
@@ -149,12 +146,14 @@ class LossGraph:
 def infer_gc_matrix(backbone: Backbone, dataset: WindowedDataset) -> GcMatrix:
     """Post-hoc causal scores: mean |input Jacobian| over samples and lags,
     accumulated over blocks of SCORE_CHUNK windows."""
+    keep_freed_memory()
     params = [de.constant(a) for a in param_arrays(backbone)]
     total = np.zeros((backbone.output_dim, backbone.input_dim))
     for start in range(0, dataset.n_samples, SCORE_CHUNK):
         x = de.constant(dataset.inputs[start:start + SCORE_CHUNK])
-        _, jac = forward_jacobian(backbone, x, params)
-        total += np.abs(jac.value).sum(axis=0)
+        # only this block's Jacobian array outlives the call, not its graph
+        jac = forward_jacobian(backbone, x, params)[1].value
+        total += np.abs(jac, out=jac).sum(axis=0)
     per_lag = total.reshape(backbone.output_dim, dataset.lag, -1).sum(axis=1)
     return GcMatrix(per_lag / (dataset.n_samples * dataset.lag))
 
@@ -189,6 +188,7 @@ def train(series: TimeSeries, cfg: TrainConfig) -> TrainReport:
     if series.T <= cfg.lag + 10:
         raise TrainError(f"need T > lag + 10, got T={series.T}, lag={cfg.lag}")
     start_time = time.perf_counter()
+    keep_freed_memory()
 
     scaled, _, _ = standardize(series)
     full = make_windows(scaled, cfg.lag)

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import diffengine as de
-from .splines import SplineSpec, basis_node
+from .splines import SplineSpec, feature_node
 
 KAN = "kan"
 MLP = "mlp"
@@ -81,28 +81,16 @@ def init_backbone(kind: str, sizes, spec: SplineSpec | None = None, seed: int = 
 
 
 def param_arrays(backbone: Backbone) -> list[np.ndarray]:
-    """Trainable arrays in declaration order (the serialization order too)."""
-    out = []
-    for layer in backbone.layers:
-        if isinstance(layer, KanLayer):
-            out.extend([layer.w_base, layer.w_spline, layer.coef])
-        else:
-            out.extend([layer.weight, layer.bias])
-    return out
+    """Trainable arrays in declaration order (the serialization order too):
+    each layer's fields in dataclass order."""
+    return [a for layer in backbone.layers for a in vars(layer).values()]
 
 
 def set_param_arrays(backbone: Backbone, arrays) -> None:
-    arrays = list(arrays)
-    i = 0
+    it = iter(arrays)
     for layer in backbone.layers:
-        if isinstance(layer, KanLayer):
-            layer.w_base, layer.w_spline, layer.coef = (
-                np.asarray(a, dtype=np.float64) for a in arrays[i:i + 3])
-            i += 3
-        else:
-            layer.weight, layer.bias = (
-                np.asarray(a, dtype=np.float64) for a in arrays[i:i + 2])
-            i += 2
+        for name in vars(layer):
+            setattr(layer, name, np.asarray(next(it), dtype=np.float64))
 
 
 def make_param_nodes(backbone: Backbone) -> list[de.Node]:
@@ -119,33 +107,29 @@ def _layers(backbone: Backbone, x: de.Node, param_nodes: list[de.Node], jacobian
     """Prediction, and with `jacobian` the per-sample input Jacobian
     (batch, n_out, n_in) chained from the layer factors."""
     if x.value.ndim != 2 or x.shape[1] != backbone.input_dim:
-        raise BackboneError(
-            f"forward: window shape {x.shape} incompatible with input_dim "
-            f"{backbone.input_dim}")
+        raise BackboneError(f"forward: window shape {x.shape} incompatible with "
+                            f"input_dim {backbone.input_dim}")
     batch = x.shape[0]
     h = x
-    i = 0
+    params = iter(param_nodes)
     n_layers = len(backbone.layers)
     # (einsum spec, node) pairs that right-multiply the Jacobian from the output side
     factors = []
     for li in range(n_layers):
         if backbone.kind == KAN:
-            wb, ws, c = param_nodes[i:i + 3]
-            i += 3
-            s = de.sigmoid(h)
-            eff = de.einsum("oi,oik->oik", ws, c)
-            dbasis = basis_node(h, backbone.spec, 1) if jacobian else None
-            basis = basis_node(h, backbone.spec, dbasis=dbasis)
-            base = de.einsum("bi,oi->bo", de.mul(h, s), wb)
-            spline = de.einsum("bik,oik->bo", basis, eff)
+            wb, ws, c = next(params), next(params), next(params)
+            # W = [w_base | w_spline * coef] over the feature axis
+            k = backbone.spec.n_basis
+            w = de.add(de.einsum("oi,k->oik", wb, de.constant(np.eye(1, 1 + k)[0])),
+                       de.einsum("oij,jk->oik", de.einsum("oi,oij->oij", ws, c),
+                                 de.constant(np.eye(k, 1 + k, 1))))
+            dfeat = None
             if jacobian:
-                edge = de.add(de.einsum("oi,bi->boi", wb, _dsilu(h, s)),
-                              de.einsum("oik,bik->boi", eff, dbasis))
-                factors.append(("boh,bhi->boi", edge))
-            h = de.add(base, spline)
+                dfeat = feature_node(h, backbone.spec, 1)
+                factors.append(("boh,bhi->boi", de.einsum("oik,bik->boi", w, dfeat)))
+            h = de.einsum("bik,oik->bo", feature_node(h, backbone.spec, dfeat=dfeat), w)
         else:
-            w, b = param_nodes[i:i + 2]
-            i += 2
+            w, b = next(params), next(params)
             h = de.add(de.einsum("bi,oi->bo", h, w), de.expand(b, 0, batch))
             if jacobian:
                 factors.append(("boh,hi->boi", w))
@@ -182,10 +166,4 @@ def forward(backbone: Backbone, windows: np.ndarray) -> np.ndarray:
 
 
 def count_parameters(backbone: Backbone) -> int:
-    n = 0
-    for n_in, n_out in zip(backbone.sizes[:-1], backbone.sizes[1:]):
-        if backbone.kind == KAN:
-            n += n_out * n_in * (2 + backbone.spec.n_basis)
-        else:
-            n += n_out * (n_in + 1)
-    return n
+    return sum(a.size for a in param_arrays(backbone))

@@ -2,6 +2,8 @@
 integration."""
 from __future__ import annotations
 
+import ctypes
+
 import numpy as np
 
 
@@ -10,44 +12,53 @@ def backend_name() -> str:
     return "numpy"
 
 
-# ---------------------------------------------------------------------------
-# B-spline basis (Cox-de Boor), optionally differentiated `deriv` times.
-#
-# Degree-0 indicators use half-open intervals; x exactly at the right domain
-# edge is assigned to the last interior interval so the basis is the left
-# limit there and partition of unity holds on the closed domain.
-# ---------------------------------------------------------------------------
+def keep_freed_memory() -> None:
+    """Keep memory freed by glibc malloc in the process: each training step or
+    scoring block frees arrays the next allocates again, and pages handed back
+    to the kernel fault in anew at a machine-dependent cost. No-op off glibc."""
+    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
+    if mallopt is not None:
+        mallopt(-4, 0)        # M_MMAP_MAX: no array gets a mapping of its own
+        mallopt(-1, 1 << 30)  # M_TRIM_THRESHOLD: keep up to 1 GiB of free heap
+
+
+class NonUniformKnots(ValueError):
+    pass
+
 
 def bspline_basis_kernel(x: np.ndarray, knots: np.ndarray, degree: int, deriv: int = 0) -> np.ndarray:
-    """Basis values (or their deriv-th derivative) for a flat batch of points.
-
-    Returns an (n, n_basis) array with n_basis = len(knots) - degree - 1.
-    Points are assumed already clamped to the knot domain.
-    """
+    """B-spline basis values (or their deriv-th derivative) as an
+    (n, len(knots) - degree - 1) array for n points already clamped to the
+    knot domain; knots not equally spaced raise NonUniformKnots. Only the
+    degree+1 pieces live on a point's knot interval are evaluated, by the de
+    Boor triangle in the local coordinate u in [0, 1]. Intervals are
+    half-open and clipped to the domain: x at its right edge takes the left
+    limit."""
     x = np.ascontiguousarray(x, dtype=np.float64)
     knots = np.ascontiguousarray(knots, dtype=np.float64)
-    hi = knots[-(degree + 1)]
-    last_interior = knots.shape[0] - degree - 2
-    n = x.shape[0]
-    m = knots.shape[0]
-    d0 = degree - deriv
-    if d0 < 0:
-        return np.zeros((n, m - degree - 1))
-    b = ((x[:, None] >= knots[None, :-1]) & (x[:, None] < knots[None, 1:])).astype(np.float64)
-    at_hi = x == hi
-    if np.any(at_hi):
-        b[at_hi, :] = 0.0
-        b[at_hi, last_interior] = 1.0
-    for d in range(1, d0 + 1):
-        left = (x[:, None] - knots[None, :-(d + 1)]) / (knots[d:-1] - knots[:-(d + 1)])[None, :]
-        right = (knots[None, d + 1:] - x[:, None]) / (knots[d + 1:] - knots[1:-d])[None, :]
-        b = left * b[:, :-1] + right * b[:, 1:]
-    # raising the degree and the derivative order together
-    for j in range(d0 + 1, degree + 1):
-        den1 = (knots[j:-1] - knots[:-(j + 1)])[None, :]
-        den2 = (knots[j + 1:] - knots[1:-j])[None, :]
-        b = j * (b[:, :-1] / den1 - b[:, 1:] / den2)
-    return b
+    n_basis = knots.shape[0] - degree - 1
+    h = (knots[-1] - knots[0]) / (knots.shape[0] - 1)
+    if not h > 0 or np.max(np.abs(np.diff(knots) - h)) > 1e-6 * h:
+        raise NonUniformKnots(f"B-spline knots must be equally spaced, got {knots}")
+    out = np.zeros((x.shape[0], n_basis))
+    if deriv > degree:
+        return out
+    j = np.clip(np.searchsorted(knots, x, "right") - 1, degree, n_basis - 1)
+    u = np.clip((x - knots[j]) / h, 0.0, 1.0)
+    # b[r] is the piece of B_{j-d+r} of degree d on interval j; one row per
+    # piece keeps every update a contiguous pass over the points
+    b = np.ones((1, x.shape[0]))
+    for d in range(1, degree - deriv + 1):
+        r = np.arange(d)[:, None]
+        grown = np.zeros((d + 1, x.shape[0]))
+        grown[1:] = (u + (d - 1 - r)) * b
+        grown[:-1] += (r + 1 - u) * b
+        b = grown / d
+    # uniform knots: B'_{i,d} = (B_{i,d-1} - B_{i+1,d-1}) / h
+    for _ in range(deriv):
+        b = np.diff(np.pad(b, ((1, 1), (0, 0))), axis=0) / -h
+    np.put_along_axis(out, (j - degree)[:, None] + np.arange(degree + 1), b.T, axis=1)
+    return out
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
-"""B-spline specification and a differentiable basis-evaluation graph op."""
+"""B-spline specification and the differentiable KAN feature op: SiLU and the
+B-spline basis of every input, on one trailing feature axis."""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -56,22 +57,32 @@ def basis_values(x: np.ndarray, spec: SplineSpec, deriv: int = 0) -> np.ndarray:
     return out.reshape(x.shape + (spec.n_basis,))
 
 
-def basis_node(x: de.Node, spec: SplineSpec, deriv: int = 0,
-               dbasis: de.Node | None = None) -> de.Node:
-    """Graph op: B-spline basis (or its deriv-th derivative) of every element
-    of x, trailing basis axis.
+def _silu_deriv(a: np.ndarray, n: int) -> np.ndarray:
+    """n-th derivative of silu(a) = a*s(a): a*s^(n) + n*s^(n-1), where the
+    sigmoid's s^(n) = P_n(s), P_0(s) = s and P_{n+1} = P_n' * (s - s^2)."""
+    s = 1.0 / (1.0 + np.exp(-a))
+    polys = [np.array([1.0, 0.0])]
+    for _ in range(n):
+        polys.append(np.polymul(np.polyder(polys[-1]), [-1.0, 1.0, 0.0]))
+    return a * np.polyval(polys[n], s) + (n * np.polyval(polys[n - 1], s) if n else 0.0)
 
-    Inputs are clamped to [lo, hi], so derivatives are zero outside. The
-    backward rule contracts the upstream gradient with the next-order
-    derivative node, so any order of differentiation works: `dbasis` when the
-    caller has already built that node, otherwise one built on demand.
+
+def feature_node(x: de.Node, spec: SplineSpec, deriv: int = 0,
+                 dfeat: de.Node | None = None) -> de.Node:
+    """Graph op: the KAN features [silu(a), B_0(a) ... B_{K-1}(a)] of every
+    element a of x (or their deriv-th derivative) on a trailing axis of
+    length 1 + spec.n_basis. Spline inputs are clamped to [lo, hi], so basis
+    derivatives are zero outside. The backward rule contracts the upstream
+    gradient with the next-order node, `dfeat` or one built on demand, so any
+    order of differentiation works.
     """
-    values = basis_values(x.value, spec, deriv)
+    a = x.value
+    values = np.concatenate([_silu_deriv(a, deriv)[..., None], basis_values(a, spec, deriv)], -1)
     if deriv > 0:
-        values = values * ((x.value >= spec.lo) & (x.value <= spec.hi))[..., None]
+        values[..., 1:] *= ((a >= spec.lo) & (a <= spec.hi))[..., None]
 
     def vjp(g):
-        d = dbasis if dbasis is not None else basis_node(x, spec, deriv + 1)
-        return (de.reduce_sum(de.mul(g, d), axis=x.value.ndim),)
+        d = dfeat if dfeat is not None else feature_node(x, spec, deriv + 1)
+        return (de.reduce_sum(de.mul(g, d), axis=a.ndim),)
 
-    return de.Node(values, (x,), vjp, op="bspline")
+    return de.Node(values, (x,), vjp, op="features")

@@ -202,6 +202,25 @@ class TestEval:
         assert rc != 0
         assert "mismatch" in capsys.readouterr().err
 
+    def test_truth_delimiter(self, tmp_path, capsys):
+        truth = np.array([[1, 0], [0, 1]])
+        self.write(tmp_path / "gc.csv", truth.astype(float))
+        (tmp_path / "truth.csv").write_text("1;0\n0;1\n")
+        rc = main(["eval", str(tmp_path / "gc.csv"), str(tmp_path / "truth.csv"),
+                   "--delimiter", ";"])
+        assert rc == 0
+        assert json.loads(capsys.readouterr().out)["auroc"] == 1.0
+
+    @pytest.mark.parametrize("which", ["gc", "truth"])
+    def test_unparsable_file_named_error(self, tmp_path, capsys, which):
+        self.write(tmp_path / "gc.csv", np.eye(2))
+        self.write(tmp_path / "truth.csv", np.eye(2))
+        (tmp_path / f"{which}.csv").write_text("1;0\n0;1\n")
+        rc = main(["eval", str(tmp_path / "gc.csv"), str(tmp_path / "truth.csv")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"{which}.csv" in err
+
     def test_missing_file_fails(self, tmp_path, capsys):
         rc = main(["eval", str(tmp_path / "none.csv"), str(tmp_path / "none.csv")])
         assert rc != 0

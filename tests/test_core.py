@@ -1,12 +1,14 @@
 import dataclasses
 import gc
+import platform
+import resource
 
 import numpy as np
 import pytest
 
 import grngc.diffengine as de
 from grngc import forecasters as fc
-from grngc.core import (SCORE_CHUNK, GcMatrix, LossGraph, TrainConfig,
+from grngc.core import (SCORE_CHUNK, LossGraph, TrainConfig,
                         TrainError, infer_gc_matrix, prediction_loss, train)
 from grngc.datagen import (TimeSeries, WindowedDataset, random_sparse_var1,
                            simulate_var)
@@ -325,6 +327,19 @@ class TestInferGcMatrix:
         b = infer_gc_matrix(bb, WindowedDataset(inputs[perm], targets[perm], 2)).scores
         assert np.max(np.abs(a - b)) < 1e-12
 
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc malloc only")
+    def test_repeat_scoring_faults_in_no_pages(self):
+        # freed blocks stay in the process, so scoring the same windows again
+        # reuses that memory instead of faulting fresh pages in
+        rng = np.random.default_rng(12)
+        bb = fc.init_backbone("kan", [25, 128, 5], seed=12)
+        n = 4 * SCORE_CHUNK
+        ds = WindowedDataset(rng.normal(size=(n, 25)), rng.normal(size=(n, 5)), lag=5)
+        infer_gc_matrix(bb, ds)
+        before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+        infer_gc_matrix(bb, ds)
+        assert resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before < 100
+
     def test_nonnegative_finite(self):
         rng = np.random.default_rng(11)
         bb = fc.init_backbone("mlp", [6, 8, 3], seed=11)
@@ -400,6 +415,6 @@ class TestTrain:
         rep = train(series, TrainConfig(lag=2, epochs=2, hidden=(8,), seed=0))
         rep.to_json(tmp_path / "report.json")
         rep.gc.to_csv(tmp_path / "gc.csv")
-        loaded = GcMatrix.from_csv(tmp_path / "gc.csv")
-        assert np.array_equal(loaded.scores, rep.gc.scores)
+        loaded = np.loadtxt(tmp_path / "gc.csv", delimiter=",", ndmin=2)
+        assert np.array_equal(loaded, rep.gc.scores)
         assert rep.config == dataclasses.asdict(TrainConfig(lag=2, epochs=2, hidden=(8,), seed=0))

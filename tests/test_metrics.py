@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from grngc.metrics import (EdgeScorePairs, MetricError, auprc, auroc,
                            evaluate, flatten, write_metrics)
@@ -106,6 +108,22 @@ class TestAuprc:
             auprc(EdgeScorePairs(np.array([0.1, 0.2]), np.zeros(2, dtype=bool)))
 
 
+# strictly increasing on the scores' range (integers in [-40, 40], scaled by
+# at most 10 and shifted by at most 10), and distinct floats stay distinct
+TRANSFORMS = [lambda s: s, lambda s: np.exp(s / 100.0), lambda s: s ** 3, np.arctan]
+
+
+@st.composite
+def scored_labels(draw, unique=False):
+    """(scores, labels) with both classes present; integer-valued scores, so
+    ties occur unless `unique`."""
+    n = draw(st.integers(2, 40))
+    scores = draw(st.lists(st.integers(-40, 40), min_size=n, max_size=n, unique=unique))
+    labels = draw(st.lists(st.booleans(), min_size=n, max_size=n)
+                  .filter(lambda ls: 0 < sum(ls) < len(ls)))
+    return np.array(scores, dtype=np.float64), np.array(labels)
+
+
 class TestInvariances:
     @pytest.mark.parametrize("metric", [auroc, auprc])
     def test_permutation_invariant(self, metric):
@@ -118,13 +136,22 @@ class TestInvariances:
         assert a == pytest.approx(b, abs=1e-12)
 
     @pytest.mark.parametrize("metric", [auroc, auprc])
-    def test_monotone_transform_invariant(self, metric):
-        rng = np.random.default_rng(1)
-        scores = rng.uniform(size=30)
-        labels = rng.integers(0, 2, 30).astype(bool)
+    @settings(max_examples=200, deadline=None)
+    @given(pairs=scored_labels(), transform=st.sampled_from(TRANSFORMS),
+           slope=st.floats(0.1, 10.0), offset=st.floats(-10.0, 10.0))
+    def test_monotone_transform_invariant(self, metric, pairs, transform, slope, offset):
+        scores, labels = pairs
         a = metric(EdgeScorePairs(scores, labels))
-        b = metric(EdgeScorePairs(np.exp(3 * scores), labels))
+        b = metric(EdgeScorePairs(transform(slope * scores + offset), labels))
         assert a == pytest.approx(b, abs=1e-12)
+
+    @settings(max_examples=200, deadline=None)
+    @given(pairs=scored_labels(unique=True))
+    def test_negated_scores_complement_auroc(self, pairs):
+        scores, labels = pairs
+        a = auroc(EdgeScorePairs(scores, labels))
+        b = auroc(EdgeScorePairs(-scores, labels))
+        assert a + b == pytest.approx(1.0, abs=1e-12)
 
 
 class TestFlatten:

@@ -1,8 +1,12 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import grngc.diffengine as de
-from grngc.splines import SplineSpec, SplineError, basis_node, basis_values
+from bspline_reference import bspline_table
+from grngc.kernels import NonUniformKnots, bspline_basis_kernel
+from grngc.splines import SplineSpec, SplineError, basis_values, feature_node
 
 
 def random_spec(rng):
@@ -69,6 +73,43 @@ class TestBasis:
         assert np.max(np.abs(got - fd)) < 1e-6
 
 
+class TestKernel:
+    @settings(max_examples=300, deadline=None)
+    @given(degree=st.integers(1, 4), grid=st.integers(2, 9),
+           lo=st.floats(-4.0, 4.0), width=st.floats(0.25, 8.0),
+           seed=st.integers(0, 2**32 - 1))
+    def test_matches_cox_de_boor_table(self, degree, grid, lo, width, seed):
+        spec = SplineSpec(degree, grid, lo, lo + width)
+        knots = spec.knots()
+        rng = np.random.default_rng(seed)
+        x = np.concatenate([rng.uniform(spec.lo, spec.hi, 64),
+                            knots[degree:degree + grid + 1], [spec.lo, spec.hi]])
+        x = np.clip(x, spec.lo, spec.hi)
+        off_knots = np.min(np.abs(x[:, None] - knots), axis=1) > 1e-9 * width
+        for deriv in range(degree + 2):
+            got = bspline_basis_kernel(x, knots, degree, deriv)
+            ref = bspline_table(x, knots, degree, deriv)
+            if deriv == degree:
+                # piecewise constant: at a knot the kernels take different
+                # one-sided limits
+                got, ref = got[off_knots], ref[off_knots]
+            # derivatives grow like (grid / width) ** deriv
+            scale = max(1.0, float(np.max(np.abs(ref))))
+            assert np.max(np.abs(got - ref)) <= 1e-12 * scale, deriv
+
+    def test_non_uniform_knots_named_error(self):
+        knots = SplineSpec().knots()
+        knots[4] += 0.1
+        with pytest.raises(NonUniformKnots):
+            bspline_basis_kernel(np.array([0.0]), knots, 3)
+
+
+def spline_slots(node, spec):
+    """The feature node with its SiLU slot 0 zeroed, leaving slots 1:."""
+    mask = np.broadcast_to(np.r_[0.0, np.ones(spec.n_basis)], node.shape).copy()
+    return de.mul(node, de.constant(mask))
+
+
 class TestBasisNode:
     def test_gradient_vs_finite_differences(self):
         spec = SplineSpec()
@@ -77,7 +118,8 @@ class TestBasisNode:
         w = rng.normal(size=spec.n_basis)
 
         x = de.variable(x0)
-        y = de.reduce_sum(de.mul(basis_node(x, spec), de.constant(np.broadcast_to(w, (4, 3, spec.n_basis)).copy())))
+        y = de.reduce_sum(de.mul(spline_slots(feature_node(x, spec), spec),
+                                 de.constant(np.broadcast_to(np.r_[0.0, w], (4, 3, 1 + spec.n_basis)).copy())))
         (g,) = de.backward(y, [x])
 
         def f(v):
@@ -90,7 +132,7 @@ class TestBasisNode:
         spec = SplineSpec()
         x0 = np.array([0.37])
         x = de.variable(x0)
-        y = de.reduce_sum(de.square(basis_node(x, spec)))
+        y = de.reduce_sum(de.square(spline_slots(feature_node(x, spec), spec)))
         (g1,) = de.backward(y, [x])
         (g2,) = de.backward(de.reduce_sum(g1), [x])
 
@@ -106,6 +148,48 @@ class TestBasisNode:
     def test_clamped_region_zero_gradient(self):
         spec = SplineSpec()
         x = de.variable(np.array([-3.0, 0.5, 3.0]))
-        y = de.reduce_sum(basis_node(x, spec))
+        y = de.reduce_sum(spline_slots(feature_node(x, spec), spec))
         (g,) = de.backward(y, [x])
         assert g.value[0] == 0.0 and g.value[2] == 0.0
+
+
+class TestFeatureNode:
+    def test_silu_slot_values(self):
+        a = np.array([-2.0, 0.0, 1.0])
+        got = feature_node(de.constant(a), SplineSpec()).value[:, 0]
+        assert np.allclose(got, a / (1.0 + np.exp(-a)), rtol=0, atol=1e-15)
+
+    @pytest.mark.parametrize("deriv", [1, 2])
+    def test_silu_slot_vs_finite_differences(self, deriv):
+        # wide enough to cover the clamped spline region, where silu still bends
+        spec = SplineSpec()
+        x0 = np.linspace(-4.0, 4.0, 17)
+        got = feature_node(de.constant(x0), spec, deriv).value[:, 0]
+
+        def lower(v):
+            return float(feature_node(de.constant(v), spec, deriv - 1).value[:, 0].sum())
+
+        fd = de.finite_difference(lower, x0.copy(), step=1e-6)
+        assert np.max(np.abs(got - fd)) < 1e-7
+
+    def test_second_order_gradient(self):
+        # every slot at once, inside and outside the spline grid
+        spec = SplineSpec()
+        rng = np.random.default_rng(5)
+        x0 = np.array([-2.6, -0.9, 0.37, 1.4, 2.5])
+        w = rng.normal(size=(5, 1 + spec.n_basis))
+
+        def grad(v):
+            x = de.variable(v)
+            y = de.reduce_sum(de.square(de.mul(feature_node(x, spec), de.constant(w))))
+            (g1,) = de.backward(y, [x])
+            return x, g1
+
+        x, g1 = grad(x0)
+        (g2,) = de.backward(de.reduce_sum(de.square(g1)), [x])
+
+        def f(v):
+            return float(np.square(grad(v)[1].value).sum())
+
+        fd = de.finite_difference(f, x0.copy(), step=1e-6)
+        assert np.max(np.abs(g2.value - fd)) / np.max(np.abs(fd)) < 1e-6
