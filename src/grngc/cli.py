@@ -21,23 +21,26 @@ from .datagen import (AdjacencyTruth, DataError, Lorenz96Config, SimulationError
                       simulate_lorenz96, simulate_var)
 from .metrics import FULL, MetricError, evaluate, write_metrics
 
+
+def _defaults(cls) -> dict:
+    """Field defaults of a config dataclass, except its seed; tuples as lists."""
+    return {f.name: list(f.default) if isinstance(f.default, tuple) else f.default
+            for f in dataclasses.fields(cls) if f.name != "seed"}
+
+
+_L96 = _defaults(Lorenz96Config)
+
 DEFAULT_CONFIG = {
     "data": {
         "source": "lorenz96",      # lorenz96 | var | csv
         "seed": 0,
-        # lorenz96
-        "p": 10, "forcing": 10.0, "T": 1000, "dt": 0.05,
-        "burn_in": 1000, "obs_noise_sigma": 0.0,
+        **_L96,                    # lorenz96; p and T serve var too
         # var
         "density": 0.3, "noise_sigma": 0.1, "radius": 0.45,
         # csv
         "series": None, "truth": None, "has_header": True, "delimiter": ",",
     },
-    "train": {
-        "lag": 5, "lam": 1e-3, "lr": 1e-3, "epochs": 100, "batch_size": 256,
-        "backbone": "kan", "hidden": [128], "degree": 3, "grid_size": 5,
-        "patience": 15, "val_fraction": 0.1,
-    },
+    "train": _defaults(TrainConfig),  # the seed comes from data.seed or run.seeds
     "eval": {"mode": FULL},
     "run": {"seeds": [0, 1, 2], "lams": None},
 }
@@ -59,11 +62,28 @@ def _flatten(doc, prefix: str = "") -> dict:
 
 
 _FIELDS = _flatten(DEFAULT_CONFIG)
+# a value of the type of each key that defaults to None (None stays valid)
+_NULLABLE = {"data.series": "", "data.truth": "", "run.lams": [0.0]}
+
+
+def _wrong_type(value, like) -> bool:
+    """Whether a JSON value lacks the type of `like`. An int passes for a
+    float; list elements are checked against like's first element."""
+    if isinstance(like, list):
+        return not isinstance(value, list) or any(_wrong_type(v, like[0]) for v in value)
+    if type(like) is float:
+        return type(value) not in (int, float)
+    return type(value) is not type(like)
+
+
+def _type_name(like) -> str:
+    return f"a list of {_type_name(like[0])}" if isinstance(like, list) else type(like).__name__
 
 
 def load_config(path: str | None, overrides) -> dict:
     """DEFAULT_CONFIG updated by a JSON file, then by `key=value` overrides.
-    Every key must name a field of DEFAULT_CONFIG."""
+    Every key must name a field of DEFAULT_CONFIG, and every value must have
+    the type of that field's default."""
     updates = {}
     if path:
         with open(path) as fh:
@@ -87,29 +107,19 @@ def load_config(path: str | None, overrides) -> dict:
     for key, value in updates.items():
         if key not in _FIELDS:
             raise CliError(f"unknown config key {key!r}")
+        like = _NULLABLE.get(key, _FIELDS[key])
+        if not (value is None and key in _NULLABLE) and _wrong_type(value, like):
+            raise CliError(f"config key {key!r} expects {_type_name(like)}, got {value!r}")
         section, name = key.split(".")
         cfg[section][name] = value
     return cfg
-
-
-def train_config(cfg: dict, seed: int) -> TrainConfig:
-    t = cfg["train"]
-    return TrainConfig(
-        lag=t["lag"], lam=t["lam"], lr=t["lr"], epochs=t["epochs"],
-        batch_size=t["batch_size"], seed=seed, backbone=t["backbone"],
-        hidden=tuple(t["hidden"]), degree=t["degree"], grid_size=t["grid_size"],
-        patience=t["patience"], val_fraction=t["val_fraction"],
-    )
 
 
 def make_data(cfg: dict, seed: int) -> tuple[TimeSeries, AdjacencyTruth | None]:
     d = cfg["data"]
     src = d["source"]
     if src == "lorenz96":
-        l96 = Lorenz96Config(p=d["p"], forcing=d["forcing"], T=d["T"], dt=d["dt"],
-                             burn_in=d["burn_in"], seed=seed,
-                             obs_noise_sigma=d["obs_noise_sigma"])
-        return simulate_lorenz96(l96)
+        return simulate_lorenz96(Lorenz96Config(**{k: d[k] for k in _L96}, seed=seed))
     if src == "var":
         coeffs = random_sparse_var1(d["p"], d["density"], seed, d["radius"])
         return simulate_var([coeffs], d["T"], d["noise_sigma"], seed)
@@ -141,12 +151,10 @@ def cmd_simulate(cfg: dict, out: Path, seed: int) -> int:
 
 
 def cmd_infer(cfg: dict, out: Path, seed: int) -> int:
-    tcfg = train_config(cfg, seed)
-    d = cfg["data"]
-    if d["source"] == "csv" or d["series"]:
-        series = load_csv(d["series"], d["has_header"], d["delimiter"])
-    else:
-        series, _ = make_data(cfg, seed)
+    tcfg = TrainConfig(**cfg["train"], seed=seed)
+    if cfg["data"]["series"]:
+        cfg["data"]["source"] = "csv"  # a given series file is read whatever the source
+    series, _ = make_data(cfg, seed)
     report = train(series, tcfg)
     out.mkdir(parents=True, exist_ok=True)
     report.gc.to_csv(out / "gc_matrix.csv")
@@ -173,7 +181,7 @@ def cmd_run(cfg: dict, out: Path) -> int:
     seeds = cfg["run"]["seeds"]
     lams = cfg["run"]["lams"] or [cfg["train"]["lam"]]
     mode = cfg["eval"]["mode"]
-    base = train_config(cfg, 0)  # a bad config fails before anything is written
+    base = TrainConfig(**cfg["train"])  # a bad config fails before anything is written
     if cfg["data"]["source"] == "csv" and not cfg["data"]["truth"]:
         raise CliError("run needs ground truth (simulator source or data.truth)")
     out.mkdir(parents=True, exist_ok=True)

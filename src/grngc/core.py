@@ -12,7 +12,7 @@ import numpy as np
 
 from . import diffengine as de
 from .datagen import TimeSeries, WindowedDataset, make_windows, standardize
-from .forecasters import (Backbone, count_parameters, forward_graph,
+from .forecasters import (KAN, MLP, Backbone, count_parameters, forward_graph,
                           forward_jacobian, init_backbone, make_param_nodes,
                           param_arrays, set_param_arrays)
 from .kernels import keep_freed_memory
@@ -61,11 +61,13 @@ class TrainConfig:
     val_fraction: float = 0.1
 
     def __post_init__(self):
+        self.hidden = tuple(self.hidden)
         checks = [
             (self.lam >= 0, f"lambda must be >= 0, got {self.lam}"),
             (self.lr > 0, f"lr must be > 0, got {self.lr}"),
             (self.lag >= 1, f"lag must be >= 1, got {self.lag}"),
             (self.epochs >= 1, f"epochs must be >= 1, got {self.epochs}"),
+            (self.backbone in (KAN, MLP), f"backbone must be kan or mlp, got {self.backbone!r}"),
             (self.batch_size >= 0, f"batch_size must be >= 0, got {self.batch_size}"),
             (all(h >= 1 for h in self.hidden),
              f"hidden sizes must be >= 1, got {list(self.hidden)}"),
@@ -87,7 +89,6 @@ class TrainConfig:
 class TrainReport:
     pred_losses: list = field(default_factory=list)
     sparsity_losses: list = field(default_factory=list)
-    total_losses: list = field(default_factory=list)
     gc: GcMatrix | None = None
     seconds: float = 0.0
     n_params: int = 0
@@ -99,7 +100,6 @@ class TrainReport:
         doc = {
             "pred_losses": self.pred_losses,
             "sparsity_losses": self.sparsity_losses,
-            "total_losses": self.total_losses,
             "seconds": self.seconds,
             "n_params": self.n_params,
             "epochs_run": self.epochs_run,
@@ -210,12 +210,11 @@ def train(series: TimeSeries, cfg: TrainConfig) -> TrainReport:
     stale = 0
     step = 0
     for epoch in range(cfg.epochs):
-        ep_pred = ep_sparse = ep_total = 0.0
+        ep_pred = ep_sparse = 0.0
         n_batches = 0
         for batch in _batches(train_set, cfg.batch_size):
             graph = LossGraph(backbone, batch, cfg.lam)
-            loss_val = float(graph.loss.value)
-            if not np.isfinite(loss_val):
+            if not np.isfinite(graph.loss.value):
                 raise TrainError(f"non-finite loss at epoch {epoch}")
             grads = [g.value for g in de.backward(graph.loss, graph.params)]
             ep_pred += float(graph.pred_loss.value)
@@ -224,11 +223,9 @@ def train(series: TimeSeries, cfg: TrainConfig) -> TrainReport:
             step += 1
             _adam_step(params, grads, m, v, step, cfg.lr)
             set_param_arrays(backbone, params)
-            ep_total += loss_val
             n_batches += 1
         report.pred_losses.append(ep_pred / n_batches)
         report.sparsity_losses.append(ep_sparse / n_batches)
-        report.total_losses.append(ep_total / n_batches)
         report.epochs_run = epoch + 1
 
         if val_set is not None:

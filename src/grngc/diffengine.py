@@ -193,20 +193,6 @@ def square(x: Node) -> Node:
     return Node(x.value * x.value, (x,), lambda g: (mul(g, scale(x, 2.0)),), op="square")
 
 
-def sigmoid(x: Node) -> Node:
-    return _sigmoid(x, 1.0 / (1.0 + np.exp(-x.value)))
-
-
-def _sigmoid(x: Node, s: np.ndarray) -> Node:
-    # the rule builds a fresh node over the same values instead of closing
-    # over its own node, so the graph holds no reference cycle
-    def vjp(g):
-        out = _sigmoid(x, s)
-        return (mul(g, mul(out, sub(constant(1.0), out))),)
-
-    return Node(s, (x,), vjp, op="sigmoid")
-
-
 def _toposort(root: Node) -> list[Node]:
     order: list[Node] = []
     seen: set[int] = set()

@@ -1,8 +1,8 @@
 """Forecasting backbones behind one interface: KAN (SiLU base + B-spline
 edge functions) and a SiLU MLP. Both map a flattened lag window of k*p values
-to a p-vector prediction and are built entirely from diffengine primitives.
-The same layer loop can also build the per-sample input Jacobian from the
-forward activations, as a graph that a single backward differentiates."""
+to a p-vector prediction as graphs of diffengine and splines ops. The same
+layer loop can also build the per-sample input Jacobian from the forward
+activations, as a graph that a single backward differentiates."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import diffengine as de
-from .splines import SplineSpec, feature_node
+from .splines import SplineSpec, feature_node, silu_node
 
 KAN = "kan"
 MLP = "mlp"
@@ -97,12 +97,6 @@ def make_param_nodes(backbone: Backbone) -> list[de.Node]:
     return [de.variable(a) for a in param_arrays(backbone)]
 
 
-def _dsilu(h: de.Node, s: de.Node) -> de.Node:
-    """silu'(h) = s * (1 + h * (1 - s)), given s = sigmoid(h)."""
-    one = de.constant(1.0)
-    return de.mul(s, de.add(one, de.mul(h, de.sub(one, s))))
-
-
 def _layers(backbone: Backbone, x: de.Node, param_nodes: list[de.Node], jacobian: bool):
     """Prediction, and with `jacobian` the per-sample input Jacobian
     (batch, n_out, n_in) chained from the layer factors."""
@@ -112,10 +106,9 @@ def _layers(backbone: Backbone, x: de.Node, param_nodes: list[de.Node], jacobian
     batch = x.shape[0]
     h = x
     params = iter(param_nodes)
-    n_layers = len(backbone.layers)
     # (einsum spec, node) pairs that right-multiply the Jacobian from the output side
     factors = []
-    for li in range(n_layers):
+    for li in range(len(backbone.layers)):
         if backbone.kind == KAN:
             wb, ws, c = next(params), next(params), next(params)
             # W = [w_base | w_spline * coef] over the feature axis
@@ -130,14 +123,17 @@ def _layers(backbone: Backbone, x: de.Node, param_nodes: list[de.Node], jacobian
             h = de.einsum("bik,oik->bo", feature_node(h, backbone.spec, dfeat=dfeat), w)
         else:
             w, b = next(params), next(params)
-            h = de.add(de.einsum("bi,oi->bo", h, w), de.expand(b, 0, batch))
-            if jacobian:
-                factors.append(("boh,hi->boi", w))
-            if li < n_layers - 1:
-                s = de.sigmoid(h)
+            # past the first layer the input is silu of the previous output,
+            # a KAN layer with the one feature silu
+            if li > 0:
+                dact = None
                 if jacobian:
-                    factors.append(("boh,bh->boh", _dsilu(h, s)))
-                h = de.mul(h, s)
+                    dact = silu_node(h, 1)
+                    factors.append(("boh,bhi->boi", de.einsum("oh,bh->boh", w, dact)))
+                h = silu_node(h, dnext=dact)
+            elif jacobian:
+                factors.append(("boh,hi->boi", w))
+            h = de.add(de.einsum("bi,oi->bo", h, w), de.expand(b, 0, batch))
     if not jacobian:
         return h, None
     jac = factors.pop()[1]

@@ -1,5 +1,6 @@
-"""B-spline specification and the differentiable KAN feature op: SiLU and the
-B-spline basis of every input, on one trailing feature axis."""
+"""B-spline specification and the differentiable activation ops: SiLU of any
+order, and the KAN features (SiLU and the B-spline basis of every input, on
+one trailing feature axis)."""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -65,6 +66,16 @@ def _silu_deriv(a: np.ndarray, n: int) -> np.ndarray:
     for _ in range(n):
         polys.append(np.polymul(np.polyder(polys[-1]), [-1.0, 1.0, 0.0]))
     return a * np.polyval(polys[n], s) + (n * np.polyval(polys[n - 1], s) if n else 0.0)
+
+
+def silu_node(x: de.Node, deriv: int = 0, dnext: de.Node | None = None) -> de.Node:
+    """Graph op: the deriv-th derivative of silu, elementwise. The backward
+    rule multiplies the upstream gradient by the next-order node, `dnext` or
+    one built on demand, so any order of differentiation works."""
+    def vjp(g):
+        return (de.mul(g, dnext if dnext is not None else silu_node(x, deriv + 1)),)
+
+    return de.Node(_silu_deriv(x.value, deriv), (x,), vjp, op="silu")
 
 
 def feature_node(x: de.Node, spec: SplineSpec, deriv: int = 0,

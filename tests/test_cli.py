@@ -80,6 +80,7 @@ class TestConfig:
     @pytest.mark.parametrize("item,field", [
         ("train.hidden=[0]", "hidden"), ("train.degree=0", "degree"),
         ("train.lr=-1", "lr"), ("train.grid_size=1", "grid_size"),
+        ("train.backbone=lstm", "backbone"),
     ])
     def test_bad_train_config_named_error(self, tmp_path, capsys, item, field):
         out = tmp_path / "x"
@@ -88,6 +89,22 @@ class TestConfig:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and field in err
         assert not out.exists()
+
+    @pytest.mark.parametrize("item,expected", [
+        ("train.hidden=128", "list of int"), ("train.epochs=1.5", "int"),
+        ('train.lag="3"', "int"), ('data.p="a"', "int"), ("run.seeds=3", "list of int"),
+    ])
+    def test_wrong_type_named_error(self, tmp_path, capsys, item, expected):
+        out = tmp_path / "x"
+        rc = main(["run", "--out", str(out)] + FAST_VAR + ["--set", item])
+        assert rc == 1
+        err = capsys.readouterr().err
+        key = item.split("=")[0]
+        assert err.startswith("error: ") and repr(key) in err and expected in err
+        assert not out.exists()
+
+    def test_int_accepted_for_float(self):
+        assert load_config(None, ["train.lam=1", "run.lams=[0,1]"])["train"]["lam"] == 1
 
 
 class TestSimulate:
@@ -153,6 +170,13 @@ class TestInfer:
                    "--set", "train.hidden=[8]"])
         assert rc == 0
         assert np.loadtxt(out / "gc_matrix.csv", delimiter=",", ndmin=2).shape == (3, 3)
+
+    def test_csv_without_series_named_error(self, tmp_path, capsys):
+        out = tmp_path / "x"
+        rc = main(["infer", "--out", str(out), "--set", "data.source=csv"])
+        assert rc == 1
+        assert "data.source=csv requires data.series" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_missing_csv_names_path(self, tmp_path, capsys):
         rc = main(["infer", "--out", str(tmp_path / "x"),

@@ -357,7 +357,6 @@ class TestTrain:
         b = train(series, cfg)
         assert np.array_equal(a.gc.scores, b.gc.scores)
         assert a.pred_losses == b.pred_losses
-        assert a.total_losses == b.total_losses
 
     def test_noise_floor(self):
         rng = np.random.default_rng(1)
@@ -382,13 +381,6 @@ class TestTrain:
             rep = train(series, TrainConfig(lag=2, lam=lam, epochs=40, hidden=(16,), seed=0))
             means[lam] = rep.gc.scores[off_support].mean()
         assert means[1e-2] <= means[0.0]
-
-    def test_loss_recording_additive(self):
-        rng = np.random.default_rng(2)
-        series = TimeSeries(rng.normal(size=(120, 2)))
-        rep = train(series, TrainConfig(lag=2, lam=1e-2, epochs=3, hidden=(8,), seed=0))
-        for lp, ls, lt in zip(rep.pred_losses, rep.sparsity_losses, rep.total_losses):
-            assert abs(lt - (lp + ls)) < 1e-9
 
     def test_too_short_series(self):
         with pytest.raises(TrainError):
