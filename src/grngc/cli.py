@@ -19,7 +19,7 @@ from .core import GcMatrix, TrainConfig, TrainError, train
 from .datagen import (AdjacencyTruth, DataError, Lorenz96Config, SimulationError,
                       TimeSeries, load_csv, random_sparse_var1, save_csv,
                       simulate_lorenz96, simulate_var)
-from .metrics import FULL, MetricError, evaluate, write_metrics
+from .metrics import FULL, MODES, MetricError, evaluate, write_metrics
 
 
 def _defaults(cls) -> dict:
@@ -64,6 +64,7 @@ def _flatten(doc, prefix: str = "") -> dict:
 _FIELDS = _flatten(DEFAULT_CONFIG)
 # a value of the type of each key that defaults to None (None stays valid)
 _NULLABLE = {"data.series": "", "data.truth": "", "run.lams": [0.0]}
+_CHOICES = {"data.source": ("lorenz96", "var", "csv"), "eval.mode": MODES}
 
 
 def _wrong_type(value, like) -> bool:
@@ -83,7 +84,7 @@ def _type_name(like) -> str:
 def load_config(path: str | None, overrides) -> dict:
     """DEFAULT_CONFIG updated by a JSON file, then by `key=value` overrides.
     Every key must name a field of DEFAULT_CONFIG, and every value must have
-    the type of that field's default."""
+    the type of that field's default and be listed in _CHOICES[key], if any."""
     updates = {}
     if path:
         with open(path) as fh:
@@ -110,28 +111,31 @@ def load_config(path: str | None, overrides) -> dict:
         like = _NULLABLE.get(key, _FIELDS[key])
         if not (value is None and key in _NULLABLE) and _wrong_type(value, like):
             raise CliError(f"config key {key!r} expects {_type_name(like)}, got {value!r}")
+        if key in _CHOICES and value not in _CHOICES[key]:
+            raise CliError(f"config key {key!r} must be one of "
+                           f"{', '.join(_CHOICES[key])}, got {value!r}")
         section, name = key.split(".")
         cfg[section][name] = value
     return cfg
 
 
 def make_data(cfg: dict, seed: int) -> tuple[TimeSeries, AdjacencyTruth | None]:
+    """Read data.series (and data.truth) if set, whatever the source; else simulate."""
     d = cfg["data"]
-    src = d["source"]
-    if src == "lorenz96":
-        return simulate_lorenz96(Lorenz96Config(**{k: d[k] for k in _L96}, seed=seed))
-    if src == "var":
+    if d["series"]:
+        series = load_csv(d["series"], d["has_header"], d["delimiter"])
+        if not d["truth"]:
+            return series, None
+        truth = AdjacencyTruth(load_csv(d["truth"], False, d["delimiter"]).data != 0)
+        if truth.matrix.shape[0] != series.p:
+            raise CliError(f"{d['truth']}: {truth.matrix.shape} truth for {series.p} series")
+        return series, truth
+    if d["source"] == "csv":
+        raise CliError("data.source=csv requires data.series")
+    if d["source"] == "var":
         coeffs = random_sparse_var1(d["p"], d["density"], seed, d["radius"])
         return simulate_var([coeffs], d["T"], d["noise_sigma"], seed)
-    if src == "csv":
-        if not d["series"]:
-            raise CliError("data.source=csv requires data.series")
-        series = load_csv(d["series"], d["has_header"], d["delimiter"])
-        truth = None
-        if d["truth"]:
-            truth = AdjacencyTruth(load_csv(d["truth"], False, d["delimiter"]).data != 0)
-        return series, truth
-    raise CliError(f"unknown data source {src!r}")
+    return simulate_lorenz96(Lorenz96Config(**{k: d[k] for k in _L96}, seed=seed))
 
 
 def _truth_csv(truth: AdjacencyTruth, path) -> None:
@@ -152,8 +156,6 @@ def cmd_simulate(cfg: dict, out: Path, seed: int) -> int:
 
 def cmd_infer(cfg: dict, out: Path, seed: int) -> int:
     tcfg = TrainConfig(**cfg["train"], seed=seed)
-    if cfg["data"]["series"]:
-        cfg["data"]["source"] = "csv"  # a given series file is read whatever the source
     series, _ = make_data(cfg, seed)
     report = train(series, tcfg)
     out.mkdir(parents=True, exist_ok=True)
@@ -167,8 +169,6 @@ def cmd_infer(cfg: dict, out: Path, seed: int) -> int:
 def cmd_eval(gc_path, truth_path, mode: str, out: Path | None, delimiter: str) -> int:
     gc = GcMatrix(load_csv(gc_path, False).data)
     truth = load_csv(truth_path, False, delimiter).data
-    if gc.scores.shape != truth.shape:
-        raise CliError(f"shape mismatch: scores {gc.scores.shape}, truth {truth.shape}")
     metrics = evaluate(gc.scores, truth != 0, mode)
     print(json.dumps(metrics, indent=2))
     if out is not None:
@@ -181,16 +181,18 @@ def cmd_run(cfg: dict, out: Path) -> int:
     seeds = cfg["run"]["seeds"]
     lams = cfg["run"]["lams"] or [cfg["train"]["lam"]]
     mode = cfg["eval"]["mode"]
-    base = TrainConfig(**cfg["train"])  # a bad config fails before anything is written
-    if cfg["data"]["source"] == "csv" and not cfg["data"]["truth"]:
+    base = TrainConfig(**cfg["train"])  # bad config or data fails before anything is written
+    d = cfg["data"]
+    if (d["series"] or d["source"] == "csv") and not d["truth"]:
         raise CliError("run needs ground truth (simulator source or data.truth)")
+    data = {seed: make_data(cfg, seed) for seed in seeds}
     out.mkdir(parents=True, exist_ok=True)
     results = []
     for lam in lams:
         for seed in seeds:
             sub = out / f"lam{lam}_seed{seed}"
             sub.mkdir(parents=True, exist_ok=True)
-            series, truth = make_data(cfg, seed)
+            series, truth = data[seed]
             save_csv(series, sub / "series.csv")
             _truth_csv(truth, sub / "truth.csv")
             report = train(series, dataclasses.replace(base, seed=seed, lam=lam))
@@ -236,7 +238,7 @@ def build_parser() -> argparse.ArgumentParser:
     pe = sub.add_parser("eval", help="score a gc matrix against a truth file")
     pe.add_argument("gc_matrix")
     pe.add_argument("truth")
-    pe.add_argument("--mode", default=FULL, choices=[FULL, "off_diagonal"])
+    pe.add_argument("--mode", default=FULL, choices=MODES)
     pe.add_argument("--out", default=None)
     pe.add_argument("--delimiter", default=",", help="field separator of the truth file")
     return parser

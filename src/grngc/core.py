@@ -35,10 +35,6 @@ class GcMatrix:
         if not np.all(np.isfinite(self.scores)) or np.any(self.scores < 0):
             raise TrainError("causal scores must be finite and non-negative")
 
-    @property
-    def p(self) -> int:
-        return self.scores.shape[0]
-
     def to_csv(self, path) -> None:
         with open(path, "w") as fh:
             for row in self.scores:

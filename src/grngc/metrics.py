@@ -1,6 +1,8 @@
-"""Threshold-free evaluation of a causal score matrix against ground truth:
-AUROC (Mann-Whitney with midrank ties) and AUPRC (average precision with
-tied scores grouped into one threshold step)."""
+"""Threshold-free evaluation of a causal score matrix against ground truth.
+Both metrics are read off one table, the positive and negative counts of
+each group of tied scores, highest score first: AUROC is the Mann-Whitney
+probability with a tie counted as half a win, and AUPRC is the average
+precision with each tie group one threshold step."""
 from __future__ import annotations
 
 import json
@@ -10,6 +12,7 @@ import numpy as np
 
 FULL = "full"
 OFF_DIAGONAL = "off_diagonal"
+MODES = (FULL, OFF_DIAGONAL)
 
 
 class MetricError(Exception):
@@ -26,9 +29,10 @@ class EdgeScorePairs:
         self.scores = np.asarray(self.scores, dtype=np.float64)
         self.labels = np.asarray(self.labels, dtype=bool)
         if self.scores.shape != self.labels.shape or self.scores.ndim != 1 or self.scores.size < 1:
-            raise MetricError(
-                f"scores/labels must be equal-length vectors, got "
-                f"{self.scores.shape} and {self.labels.shape}")
+            raise MetricError(f"scores/labels must be equal-length vectors, got "
+                              f"{self.scores.shape} and {self.labels.shape}")
+        if np.isnan(self.scores).any():
+            raise MetricError("scores contain NaN, which has no rank")
 
 
 def flatten(gc_scores: np.ndarray, truth: np.ndarray, mode: str = FULL) -> EdgeScorePairs:
@@ -39,61 +43,42 @@ def flatten(gc_scores: np.ndarray, truth: np.ndarray, mode: str = FULL) -> EdgeS
     if gc_scores.shape != truth.shape or gc_scores.ndim != 2 \
             or gc_scores.shape[0] != gc_scores.shape[1]:
         raise MetricError(f"shape mismatch: scores {gc_scores.shape}, truth {truth.shape}")
-    if mode == FULL:
-        return EdgeScorePairs(gc_scores.reshape(-1), truth.reshape(-1), mode)
+    if mode not in MODES:
+        raise MetricError(f"unknown mode {mode!r}")
     if mode == OFF_DIAGONAL:
         keep = ~np.eye(gc_scores.shape[0], dtype=bool)
         return EdgeScorePairs(gc_scores[keep], truth[keep], mode)
-    raise MetricError(f"unknown mode {mode!r}")
+    return EdgeScorePairs(gc_scores.reshape(-1), truth.reshape(-1), mode)
 
 
-def _midranks(x: np.ndarray) -> np.ndarray:
-    order = np.argsort(x, kind="stable")
-    ranks = np.empty(len(x))
-    sx = x[order]
-    i = 0
-    while i < len(x):
-        j = i
-        while j + 1 < len(x) and sx[j + 1] == sx[i]:
-            j += 1
-        ranks[order[i:j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
-    return ranks
+def _tie_groups(pairs: EdgeScorePairs) -> tuple[np.ndarray, np.ndarray]:
+    """Positive and negative counts of each group of equal scores, highest
+    score first."""
+    _, group = np.unique(-pairs.scores, return_inverse=True)
+    total = np.bincount(group)
+    pos = np.bincount(group[pairs.labels], minlength=total.size)
+    return pos, total - pos
 
 
 def auroc(pairs: EdgeScorePairs) -> float:
-    n_pos = int(pairs.labels.sum())
-    n_neg = pairs.labels.size - n_pos
+    pos, neg = _tie_groups(pairs)
+    n_pos, n_neg = int(pos.sum()), int(neg.sum())
     if n_pos == 0 or n_neg == 0:
         raise MetricError(f"AUROC needs both classes, got {n_pos} positives, {n_neg} negatives")
-    ranks = _midranks(pairs.scores)
-    return float((ranks[pairs.labels].sum() - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
+    below = n_neg - np.cumsum(neg)  # negatives scored lower than the group
+    return float((pos * below + 0.5 * pos * neg).sum() / (n_pos * n_neg))
 
 
 def auprc(pairs: EdgeScorePairs) -> float:
-    n_pos = int(pairs.labels.sum())
+    pos, neg = _tie_groups(pairs)
+    n_pos = int(pos.sum())
     if n_pos == 0:
         raise MetricError("AUPRC needs at least one positive label")
-    order = np.argsort(-pairs.scores, kind="stable")
-    scores = pairs.scores[order]
-    labels = pairs.labels[order]
-    area = 0.0
-    tp = fp = 0
-    prev_recall = 0.0
-    i = 0
-    n = len(scores)
-    while i < n:
-        j = i
-        while j + 1 < n and scores[j + 1] == scores[i]:
-            j += 1
-        tp += int(labels[i:j + 1].sum())
-        fp += (j - i + 1) - int(labels[i:j + 1].sum())
-        recall = tp / n_pos
-        precision = tp / (tp + fp)
-        area += (recall - prev_recall) * precision
-        prev_recall = recall
-        i = j + 1
-    return float(area)
+    tp = np.cumsum(pos)
+    recall = tp / n_pos
+    precision = tp / (tp + np.cumsum(neg))
+    # a running sum in threshold order (np.sum would add pairwise)
+    return float(np.cumsum(np.diff(recall, prepend=0.0) * precision)[-1])
 
 
 def evaluate(gc_scores: np.ndarray, truth: np.ndarray, mode: str = FULL) -> dict:

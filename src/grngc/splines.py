@@ -49,12 +49,14 @@ class SplineSpec:
 def basis_values(x: np.ndarray, spec: SplineSpec, deriv: int = 0) -> np.ndarray:
     """Basis (or derivative) values for an arbitrary-shape array of points.
 
-    Inputs are clamped to [lo, hi]; output gains a trailing axis of length
-    spec.n_basis.
+    Inputs are clamped to [lo, hi], so derivatives are zero outside; output
+    gains a trailing axis of length spec.n_basis.
     """
     x = np.asarray(x, dtype=np.float64)
-    flat = np.clip(x.reshape(-1), spec.lo, spec.hi)
-    out = bspline_basis_kernel(flat, spec.knots(), spec.degree, deriv)
+    flat = x.reshape(-1)
+    out = bspline_basis_kernel(np.clip(flat, spec.lo, spec.hi), spec.knots(), spec.degree, deriv)
+    if deriv > 0:
+        out *= ((flat >= spec.lo) & (flat <= spec.hi))[:, None]
     return out.reshape(x.shape + (spec.n_basis,))
 
 
@@ -82,15 +84,12 @@ def feature_node(x: de.Node, spec: SplineSpec, deriv: int = 0,
                  dfeat: de.Node | None = None) -> de.Node:
     """Graph op: the KAN features [silu(a), B_0(a) ... B_{K-1}(a)] of every
     element a of x (or their deriv-th derivative) on a trailing axis of
-    length 1 + spec.n_basis. Spline inputs are clamped to [lo, hi], so basis
-    derivatives are zero outside. The backward rule contracts the upstream
+    length 1 + spec.n_basis. The backward rule contracts the upstream
     gradient with the next-order node, `dfeat` or one built on demand, so any
     order of differentiation works.
     """
     a = x.value
     values = np.concatenate([_silu_deriv(a, deriv)[..., None], basis_values(a, spec, deriv)], -1)
-    if deriv > 0:
-        values[..., 1:] *= ((a >= spec.lo) & (a <= spec.hi))[..., None]
 
     def vjp(g):
         d = dfeat if dfeat is not None else feature_node(x, spec, deriv + 1)

@@ -103,6 +103,19 @@ class TestConfig:
         assert err.startswith("error: ") and repr(key) in err and expected in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("item,message", [
+        ("eval.mode=diag", "'eval.mode' must be one of full, off_diagonal"),
+        ("data.source=sine", "'data.source' must be one of lorenz96, var, csv"),
+        ("data.p=3", "p >= 4"),
+    ], ids=["eval.mode", "data.source", "data.p"])
+    def test_bad_value_writes_nothing(self, tmp_path, capsys, item, message):
+        out = tmp_path / "x"
+        rc = main(["run", "--out", str(out), "--set", "run.seeds=[0]", "--set", "data.T=60",
+                   "--set", "train.epochs=1", "--set", "train.hidden=[4]", "--set", item])
+        assert rc == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_int_accepted_for_float(self):
         assert load_config(None, ["train.lam=1", "run.lams=[0,1]"])["train"]["lam"] == 1
 
@@ -282,16 +295,41 @@ class TestRun:
         assert (a / "lam0.001_seed0" / "gc_matrix.csv").read_bytes() == \
                (b / "lam0.001_seed0" / "gc_matrix.csv").read_bytes()
 
-    def test_csv_without_truth_fails_before_training(self, tmp_path, capsys):
+    @pytest.fixture
+    def var3(self, tmp_path):
+        """Directory with series.csv and truth.csv of a simulated 3-series VAR."""
         sim = tmp_path / "sim"
         main(["simulate", "--out", str(sim), "--set", "data.source=var",
               "--set", "data.p=3", "--set", "data.T=120"])
+        return sim
+
+    def run_on(self, out, *items):
+        return main(["run", "--out", str(out), "--set", "run.seeds=[0]",
+                     "--set", "train.lag=2", "--set", "train.epochs=1",
+                     "--set", "train.hidden=[8]"] + [a for i in items for a in ("--set", i)])
+
+    def test_series_file_read_whatever_the_source(self, tmp_path, var3):
         out = tmp_path / "run"
-        rc = main(["run", "--out", str(out), "--set", "run.seeds=[0]",
-                   "--set", "data.source=csv",
-                   "--set", f"data.series={sim / 'series.csv'}",
-                   "--set", "train.lag=2", "--set", "train.epochs=1",
-                   "--set", "train.hidden=[8]"])
+        rc = self.run_on(out, f"data.series={var3 / 'series.csv'}",
+                         f"data.truth={var3 / 'truth.csv'}")
+        assert rc == 0
+        sub = out / "lam0.001_seed0"
+        assert (sub / "series.csv").read_text() == (var3 / "series.csv").read_text()
+        assert (sub / "truth.csv").read_text() == (var3 / "truth.csv").read_text()
+
+    def test_truth_of_other_size_writes_nothing(self, tmp_path, capsys, var3):
+        (tmp_path / "truth4.csv").write_text("1,0,0,0\n0,1,0,0\n0,0,1,0\n0,0,0,1\n")
+        out = tmp_path / "run"
+        rc = self.run_on(out, f"data.series={var3 / 'series.csv'}",
+                         f"data.truth={tmp_path / 'truth4.csv'}")
+        assert rc == 1
+        assert "(4, 4) truth for 3 series" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("source", ["csv", "lorenz96"])
+    def test_csv_without_truth_fails_before_training(self, tmp_path, capsys, var3, source):
+        out = tmp_path / "run"
+        rc = self.run_on(out, f"data.source={source}", f"data.series={var3 / 'series.csv'}")
         assert rc == 1
         assert "ground truth" in capsys.readouterr().err
-        assert not list(tmp_path.rglob("gc_matrix.csv"))
+        assert not out.exists()

@@ -40,6 +40,19 @@ def auprc_stepwise(scores, labels):
     return area
 
 
+@st.composite
+def leveled_pairs(draw, both_classes):
+    """(scores, labels) over 2-60 edges whose scores take one of 1-60 levels,
+    so ties range from none to all; at least one positive, and a negative
+    too if `both_classes`."""
+    n = draw(st.integers(2, 60))
+    levels = draw(st.integers(1, 60))
+    scores = draw(st.lists(st.integers(0, levels - 1), min_size=n, max_size=n))
+    labels = draw(st.lists(st.booleans(), min_size=n, max_size=n).filter(
+        lambda ls: any(ls) and (not both_classes or not all(ls))))
+    return np.array(scores) / levels, np.array(labels)
+
+
 class TestAuroc:
     def test_worked_example(self):
         pairs = EdgeScorePairs(np.array([0.8, 0.6, 0.6, 0.2]),
@@ -59,16 +72,11 @@ class TestAuroc:
         pairs = EdgeScorePairs(np.full(6, 0.3), np.array([1, 0, 1, 0, 0, 1], dtype=bool))
         assert auroc(pairs) == 0.5
 
-    @pytest.mark.parametrize("seed", range(20))
-    def test_matches_pairwise_oracle(self, seed):
-        rng = np.random.default_rng(seed)
-        n = int(rng.integers(4, 15))
-        scores = rng.choice([0.1, 0.2, 0.5, 0.7, 0.9], n)
-        labels = rng.integers(0, 2, n).astype(bool)
-        if labels.all() or not labels.any():
-            labels[0] = ~labels[0]
-        pairs = EdgeScorePairs(scores, labels)
-        assert abs(auroc(pairs) - auroc_pairwise(scores, labels)) < 1e-12
+    @settings(max_examples=300, deadline=None)
+    @given(pairs=leveled_pairs(both_classes=True))
+    def test_matches_pairwise_oracle(self, pairs):
+        scores, labels = pairs
+        assert abs(auroc(EdgeScorePairs(scores, labels)) - auroc_pairwise(scores, labels)) < 1e-12
 
     def test_single_class_raises(self):
         with pytest.raises(MetricError):
@@ -92,16 +100,11 @@ class TestAuprc:
         pairs = EdgeScorePairs(np.full(4, 2.0), labels)
         assert auprc(pairs) == 0.5
 
-    @pytest.mark.parametrize("seed", range(20))
-    def test_matches_stepwise_oracle(self, seed):
-        rng = np.random.default_rng(100 + seed)
-        n = int(rng.integers(4, 15))
-        scores = rng.choice([0.1, 0.2, 0.5, 0.7, 0.9], n)
-        labels = rng.integers(0, 2, n).astype(bool)
-        if not labels.any():
-            labels[0] = True
-        pairs = EdgeScorePairs(scores, labels)
-        assert abs(auprc(pairs) - auprc_stepwise(scores, labels)) < 1e-12
+    @settings(max_examples=300, deadline=None)
+    @given(pairs=leveled_pairs(both_classes=False))
+    def test_matches_stepwise_oracle(self, pairs):
+        scores, labels = pairs
+        assert abs(auprc(EdgeScorePairs(scores, labels)) - auprc_stepwise(scores, labels)) < 1e-12
 
     def test_no_positives_raises(self):
         with pytest.raises(MetricError):
@@ -177,6 +180,10 @@ class TestFlatten:
     def test_shape_mismatch(self):
         with pytest.raises(MetricError):
             flatten(np.ones((3, 3)), np.zeros((2, 2), dtype=bool))
+
+    def test_nan_score_raises(self):
+        with pytest.raises(MetricError, match="NaN"):
+            flatten(np.array([[0.5, np.nan], [0.1, 0.2]]), np.eye(2, dtype=bool))
 
     def test_unknown_mode(self):
         with pytest.raises(MetricError):

@@ -72,6 +72,14 @@ class TestBasis:
         fd = (basis_values(x + h, spec, deriv - 1) - basis_values(x - h, spec, deriv - 1)) / (2 * h)
         assert np.max(np.abs(got - fd)) < 1e-6
 
+    @pytest.mark.parametrize("deriv", [1, 2])
+    def test_derivatives_zero_outside_grid(self, deriv):
+        # the clamped basis is constant outside [lo, hi]
+        spec = SplineSpec()
+        outside = np.array([spec.lo - 3.0, spec.lo - 1e-9, spec.hi + 1e-9, spec.hi + 3.0])
+        assert not np.any(basis_values(outside, spec, deriv))
+        assert np.any(basis_values(np.array([spec.lo, spec.hi]), spec, deriv))
+
 
 class TestKernel:
     @settings(max_examples=300, deadline=None)
