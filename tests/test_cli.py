@@ -326,10 +326,16 @@ class TestRun:
         assert "(4, 4) truth for 3 series" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("source", ["csv", "lorenz96"])
-    def test_csv_without_truth_fails_before_training(self, tmp_path, capsys, var3, source):
+    def test_csv_without_truth_fails_before_training(self, tmp_path, capsys, var3):
         out = tmp_path / "run"
-        rc = self.run_on(out, f"data.source={source}", f"data.series={var3 / 'series.csv'}")
+        rc = self.run_on(out, "data.source=csv", f"data.series={var3 / 'series.csv'}")
+        assert rc == 1
+        assert "ground truth" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_series_without_truth_fails_whatever_the_source(self, tmp_path, capsys, var3):
+        out = tmp_path / "run"
+        rc = self.run_on(out, "data.source=lorenz96", f"data.series={var3 / 'series.csv'}")
         assert rc == 1
         assert "ground truth" in capsys.readouterr().err
         assert not out.exists()

@@ -72,9 +72,20 @@ class TestAuroc:
         pairs = EdgeScorePairs(np.full(6, 0.3), np.array([1, 0, 1, 0, 0, 1], dtype=bool))
         assert auroc(pairs) == 0.5
 
+    @pytest.mark.parametrize("seed", range(20))
+    def test_matches_pairwise_oracle(self, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(4, 15))
+        scores = rng.choice([0.1, 0.2, 0.5, 0.7, 0.9], n)
+        labels = rng.integers(0, 2, n).astype(bool)
+        if labels.all() or not labels.any():
+            labels[0] = ~labels[0]
+        pairs = EdgeScorePairs(scores, labels)
+        assert abs(auroc(pairs) - auroc_pairwise(scores, labels)) < 1e-12
+
     @settings(max_examples=300, deadline=None)
     @given(pairs=leveled_pairs(both_classes=True))
-    def test_matches_pairwise_oracle(self, pairs):
+    def test_matches_pairwise_oracle_over_tie_levels(self, pairs):
         scores, labels = pairs
         assert abs(auroc(EdgeScorePairs(scores, labels)) - auroc_pairwise(scores, labels)) < 1e-12
 
@@ -100,9 +111,20 @@ class TestAuprc:
         pairs = EdgeScorePairs(np.full(4, 2.0), labels)
         assert auprc(pairs) == 0.5
 
+    @pytest.mark.parametrize("seed", range(20))
+    def test_matches_stepwise_oracle(self, seed):
+        rng = np.random.default_rng(100 + seed)
+        n = int(rng.integers(4, 15))
+        scores = rng.choice([0.1, 0.2, 0.5, 0.7, 0.9], n)
+        labels = rng.integers(0, 2, n).astype(bool)
+        if not labels.any():
+            labels[0] = True
+        pairs = EdgeScorePairs(scores, labels)
+        assert abs(auprc(pairs) - auprc_stepwise(scores, labels)) < 1e-12
+
     @settings(max_examples=300, deadline=None)
     @given(pairs=leveled_pairs(both_classes=False))
-    def test_matches_stepwise_oracle(self, pairs):
+    def test_matches_stepwise_oracle_over_tie_levels(self, pairs):
         scores, labels = pairs
         assert abs(auprc(EdgeScorePairs(scores, labels)) - auprc_stepwise(scores, labels)) < 1e-12
 
