@@ -122,6 +122,8 @@ def load_config(path: str | None, overrides) -> dict:
 def make_data(cfg: dict, seed: int) -> tuple[TimeSeries, AdjacencyTruth | None]:
     """Read data.series (and data.truth) if set, whatever the source; else simulate."""
     d = cfg["data"]
+    if d["truth"] and not d["series"]:
+        raise CliError("data.truth requires data.series")
     if d["series"]:
         series = load_csv(d["series"], d["has_header"], d["delimiter"])
         if not d["truth"]:
@@ -138,18 +140,12 @@ def make_data(cfg: dict, seed: int) -> tuple[TimeSeries, AdjacencyTruth | None]:
     return simulate_lorenz96(Lorenz96Config(**{k: d[k] for k in _L96}, seed=seed))
 
 
-def _truth_csv(truth: AdjacencyTruth, path) -> None:
-    with open(path, "w") as fh:
-        for row in truth.matrix:
-            fh.write(",".join("1" if v else "0" for v in row) + "\n")
-
-
 def cmd_simulate(cfg: dict, out: Path, seed: int) -> int:
     series, truth = make_data(cfg, seed)
     out.mkdir(parents=True, exist_ok=True)
     save_csv(series, out / "series.csv")
     if truth is not None:
-        _truth_csv(truth, out / "truth.csv")
+        np.savetxt(out / "truth.csv", truth.matrix, fmt="%d", delimiter=",")
     print(f"wrote {out / 'series.csv'} ({series.T} rows, {series.p} columns)")
     return 0
 
@@ -194,7 +190,7 @@ def cmd_run(cfg: dict, out: Path) -> int:
             sub.mkdir(parents=True, exist_ok=True)
             series, truth = data[seed]
             save_csv(series, sub / "series.csv")
-            _truth_csv(truth, sub / "truth.csv")
+            np.savetxt(sub / "truth.csv", truth.matrix, fmt="%d", delimiter=",")
             report = train(series, dataclasses.replace(base, seed=seed, lam=lam))
             report.gc.to_csv(sub / "gc_matrix.csv")
             report.to_json(sub / "train_report.json")

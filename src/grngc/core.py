@@ -36,9 +36,7 @@ class GcMatrix:
             raise TrainError("causal scores must be finite and non-negative")
 
     def to_csv(self, path) -> None:
-        with open(path, "w") as fh:
-            for row in self.scores:
-                fh.write(",".join(f"{v:.17g}" for v in row) + "\n")
+        np.savetxt(path, self.scores, fmt="%.17g", delimiter=",")
 
 
 @dataclass
@@ -110,7 +108,8 @@ SCORE_CHUNK = 256
 
 
 def _mse(pred: de.Node, targets: np.ndarray) -> de.Node:
-    return de.reduce_mean(de.square(de.sub(pred, de.constant(targets))))
+    d = de.add(pred, de.constant(-targets))
+    return de.scale(de.einsum("bo,bo->", d, d), 1.0 / d.value.size)
 
 
 def prediction_loss(backbone: Backbone, dataset: WindowedDataset) -> de.Node:
@@ -130,7 +129,9 @@ class LossGraph:
         x = de.constant(dataset.inputs)
         if lam > 0:
             pred, jac = forward_jacobian(backbone, x, self.params)
-            self.sparsity = de.scale(de.reduce_sum(de.absval(jac)),
+            # sum |J| = J . sign(J), the sign frozen: subgradient 0 at 0, no 2nd-order term
+            sign = de.constant(np.sign(jac.value))
+            self.sparsity = de.scale(de.einsum("boi,boi->", jac, sign),
                                      lam / (dataset.n_samples * dataset.lag))
         else:
             pred = forward_graph(backbone, x, self.params)

@@ -2,8 +2,11 @@
 
 Every backward rule is itself built out of the primitives in this module, so
 gradients are ordinary graph nodes and can be differentiated again (double
-backprop). Broadcasting is restricted to scalar-vs-tensor; any other shape
-mixing is an error.
+backprop). The primitives are `add`, `mul` and `scale`, elementwise on
+operands of one shape, and `einsum`, which carries every contraction,
+reduction and broadcast: a sum is a contraction with a constant of ones, a
+broadcast an outer product with one. There is no implicit broadcasting; any
+shape mixing is an error.
 """
 from __future__ import annotations
 
@@ -68,45 +71,18 @@ def constant(value) -> Node:
 
 
 def _check_elementwise(op: str, a: Node, b: Node):
-    if a.shape != b.shape and a.shape != () and b.shape != ():
+    if a.shape != b.shape:
         raise ShapeMismatch(op, a.shape, b.shape)
-
-
-def _unbroadcast(g: Node, shape) -> Node:
-    # gradient flowing into a scalar operand of a broadcasted op
-    if shape == () and g.shape != ():
-        return reduce_sum(g)
-    return g
 
 
 def add(a: Node, b: Node) -> Node:
     _check_elementwise("add", a, b)
-    return Node(
-        a.value + b.value,
-        (a, b),
-        lambda g: (_unbroadcast(g, a.shape), _unbroadcast(g, b.shape)),
-        op="add",
-    )
-
-
-def sub(a: Node, b: Node) -> Node:
-    _check_elementwise("sub", a, b)
-    return Node(
-        a.value - b.value,
-        (a, b),
-        lambda g: (_unbroadcast(g, a.shape), _unbroadcast(scale(g, -1.0), b.shape)),
-        op="sub",
-    )
+    return Node(a.value + b.value, (a, b), lambda g: (g, g), op="add")
 
 
 def mul(a: Node, b: Node) -> Node:
     _check_elementwise("mul", a, b)
-    return Node(
-        a.value * b.value,
-        (a, b),
-        lambda g: (_unbroadcast(mul(g, b), a.shape), _unbroadcast(mul(g, a), b.shape)),
-        op="mul",
-    )
+    return Node(a.value * b.value, (a, b), lambda g: (mul(g, b), mul(g, a)), op="mul")
 
 
 def scale(x: Node, s: float) -> Node:
@@ -139,58 +115,6 @@ def einsum(spec: str, a: Node, b: Node) -> Node:
                    einsum(f"{out},{sa}->{sb}", g, a) if b.requires_grad else None),
         op="einsum",
     )
-
-
-def reshape(x: Node, shape) -> Node:
-    shape = tuple(shape)
-    if int(np.prod(shape)) != x.value.size:
-        raise ShapeMismatch("reshape", x.shape, shape)
-    old = x.shape
-    return Node(x.value.reshape(shape), (x,), lambda g: (reshape(g, old),), op="reshape")
-
-
-def reduce_sum(x: Node, axis: int | None = None) -> Node:
-    if axis is None:
-        return Node(
-            np.sum(x.value),
-            (x,),
-            lambda g: (mul(constant(np.ones(x.shape)), g),),
-            op="sum",
-        )
-    n = x.shape[axis]
-    ax = axis
-    return Node(
-        np.sum(x.value, axis=ax),
-        (x,),
-        lambda g: (expand(g, ax, n),),
-        op="sum",
-    )
-
-
-def reduce_mean(x: Node, axis: int | None = None) -> Node:
-    n = x.value.size if axis is None else x.shape[axis]
-    return scale(reduce_sum(x, axis), 1.0 / n)
-
-
-def expand(x: Node, axis: int, n: int) -> Node:
-    """Insert a new axis of length n by repetition; adjoint of reduce_sum."""
-    return Node(
-        np.repeat(np.expand_dims(x.value, axis), n, axis=axis),
-        (x,),
-        lambda g: (reduce_sum(g, axis=axis),),
-        op="expand",
-    )
-
-
-def absval(x: Node) -> Node:
-    # subgradient sign(0) = 0; the sign is frozen, so the second derivative
-    # contribution of |.| itself is exactly zero
-    sign = constant(np.sign(x.value))
-    return Node(np.abs(x.value), (x,), lambda g: (mul(g, sign),), op="abs")
-
-
-def square(x: Node) -> Node:
-    return Node(x.value * x.value, (x,), lambda g: (mul(g, scale(x, 2.0)),), op="square")
 
 
 def _toposort(root: Node) -> list[Node]:

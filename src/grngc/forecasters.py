@@ -103,7 +103,7 @@ def _layers(backbone: Backbone, x: de.Node, param_nodes: list[de.Node], jacobian
     if x.value.ndim != 2 or x.shape[1] != backbone.input_dim:
         raise BackboneError(f"forward: window shape {x.shape} incompatible with "
                             f"input_dim {backbone.input_dim}")
-    batch = x.shape[0]
+    ones = de.constant(np.ones(x.shape[0]))  # broadcasts over the batch
     h = x
     params = iter(param_nodes)
     # (einsum spec, node) pairs that right-multiply the Jacobian from the output side
@@ -133,12 +133,12 @@ def _layers(backbone: Backbone, x: de.Node, param_nodes: list[de.Node], jacobian
                 h = silu_node(h, dnext=dact)
             elif jacobian:
                 factors.append(("boh,hi->boi", w))
-            h = de.add(de.einsum("bi,oi->bo", h, w), de.expand(b, 0, batch))
+            h = de.add(de.einsum("bi,oi->bo", h, w), de.einsum("b,o->bo", ones, b))
     if not jacobian:
         return h, None
     jac = factors.pop()[1]
     if jac.value.ndim == 2:
-        jac = de.expand(jac, 0, batch)
+        jac = de.einsum("b,oi->boi", ones, jac)
     for spec, factor in reversed(factors):
         jac = de.einsum(spec, jac, factor)
     return h, jac

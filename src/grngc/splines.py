@@ -93,6 +93,7 @@ def feature_node(x: de.Node, spec: SplineSpec, deriv: int = 0,
 
     def vjp(g):
         d = dfeat if dfeat is not None else feature_node(x, spec, deriv + 1)
-        return (de.reduce_sum(de.mul(g, d), axis=a.ndim),)
+        lead = "abcdefgh"[:a.ndim]  # the feature axis is k
+        return (de.einsum(f"{lead}k,{lead}k->{lead}", g, d),)
 
     return de.Node(values, (x,), vjp, op="features")

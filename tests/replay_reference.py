@@ -19,24 +19,28 @@ def replay_rows(backbone, dataset):
     x = de.variable(dataset.inputs)
     params = fc.make_param_nodes(backbone)
     pred = fc.forward_graph(backbone, x, params)
-    n, width = dataset.inputs.shape
+    n, p = pred.shape
+    # window column l*p + i is series i at lag l; the mean over samples and lags
+    lag_mean = de.constant(np.tile(np.eye(p), (dataset.lag, 1)) / (n * dataset.lag))
     rows = []
-    for j in range(pred.shape[1]):
-        one_hot = de.constant(np.eye(pred.shape[1])[j])
-        s_j = de.reduce_sum(de.einsum("bo,o->b", pred, one_hot))
+    for j in range(p):
+        column_j = de.constant(np.outer(np.ones(n), np.eye(p)[j]))
+        s_j = de.einsum("bo,bo->", pred, column_j)
         (g,) = de.backward(s_j, [x])
-        g = de.reshape(g, (n, dataset.lag, width // dataset.lag))
-        rows.append(de.reduce_mean(de.reduce_mean(de.absval(g), axis=0), axis=0))
+        abs_g = de.einsum("bm,bm->m", g, de.constant(np.sign(g.value)))
+        rows.append(de.einsum("m,mi->i", abs_g, lag_mean))
     return pred, params, rows
 
 
 def replay_loss(backbone, dataset, lam):
     """(loss, prediction loss, sparsity, parameter nodes) as graphs."""
     pred, params, rows = replay_rows(backbone, dataset)
-    pred_loss = de.reduce_mean(de.square(de.sub(pred, de.constant(dataset.targets))))
-    sparsity = de.reduce_sum(rows[0])
+    d = de.add(pred, de.constant(-dataset.targets))
+    pred_loss = de.scale(de.einsum("bo,bo->", d, d), 1.0 / d.value.size)
+    ones = de.constant(np.ones(pred.shape[1]))
+    sparsity = de.einsum("i,i->", rows[0], ones)
     for row in rows[1:]:
-        sparsity = de.add(sparsity, de.reduce_sum(row))
+        sparsity = de.add(sparsity, de.einsum("i,i->", row, ones))
     sparsity = de.scale(sparsity, lam)
     return de.add(pred_loss, sparsity), pred_loss, sparsity, params
 

@@ -116,6 +116,15 @@ class TestConfig:
         assert message in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["simulate", "infer", "run"])
+    def test_truth_without_series_writes_nothing(self, tmp_path, capsys, command):
+        out = tmp_path / "x"
+        rc = main([command, "--out", str(out), "--set", "data.truth=/nonexistent/truth.csv",
+                   "--set", "data.p=5", "--set", "data.T=20"])
+        assert rc == 1
+        assert "data.truth requires data.series" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_int_accepted_for_float(self):
         assert load_config(None, ["train.lam=1", "run.lams=[0,1]"])["train"]["lam"] == 1
 

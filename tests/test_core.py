@@ -211,7 +211,10 @@ class TestTotalLoss:
         x = np.random.default_rng(6).normal(size=(5, 2))
         bb = zero_backbone(2, 2)
         ds = WindowedDataset(x, np.zeros((5, 2)), lag=1)
-        assert LossGraph(bb, ds, 1.0).loss.value == 0.0
+        graph = LossGraph(bb, ds, 1.0)
+        assert graph.loss.value == 0.0
+        # J = 0 everywhere, so the frozen sign(J) is 0 and so is the subgradient
+        assert all(np.all(g.value == 0.0) for g in de.backward(graph.loss, graph.params))
 
     def test_additivity(self):
         rng = np.random.default_rng(7)
@@ -260,6 +263,23 @@ class TestGraphLifetime:
         finally:
             gc.enable()
         assert after == before
+
+    @pytest.mark.parametrize("kind", ["kan", "mlp"])
+    def test_penalty_holds_three_jacobian_sized_arrays(self, kind):
+        # J, sign(J) and the gradient of J; no |J|, no ones, no products with them
+        rng = np.random.default_rng(0)
+        bb = fc.init_backbone(kind, [6, 4, 3], seed=0)
+        ds = WindowedDataset(rng.normal(size=(5, 6)), rng.normal(size=(5, 3)), 2)
+        graph = LossGraph(bb, ds, 1e-2)
+        stack = [graph.loss, *de.backward(graph.loss, graph.params)]
+        seen = {}
+        while stack:
+            node = stack.pop()
+            if id(node) not in seen:
+                seen[id(node)] = node
+                stack.extend(node.parents)
+        arrays = {id(n.value) for n in seen.values() if n.shape == (5, 3, 6)}
+        assert len(arrays) == 3
 
 
 class TestReplayExactness:

@@ -126,8 +126,8 @@ class TestBasisNode:
         w = rng.normal(size=spec.n_basis)
 
         x = de.variable(x0)
-        y = de.reduce_sum(de.mul(spline_slots(feature_node(x, spec), spec),
-                                 de.constant(np.broadcast_to(np.r_[0.0, w], (4, 3, 1 + spec.n_basis)).copy())))
+        y = de.einsum("bik,bik->", spline_slots(feature_node(x, spec), spec),
+                      de.constant(np.broadcast_to(np.r_[0.0, w], (4, 3, 1 + spec.n_basis)).copy()))
         (g,) = de.backward(y, [x])
 
         def f(v):
@@ -140,9 +140,9 @@ class TestBasisNode:
         spec = SplineSpec()
         x0 = np.array([0.37])
         x = de.variable(x0)
-        y = de.reduce_sum(de.square(spline_slots(feature_node(x, spec), spec)))
-        (g1,) = de.backward(y, [x])
-        (g2,) = de.backward(de.reduce_sum(g1), [x])
+        s = spline_slots(feature_node(x, spec), spec)
+        (g1,) = de.backward(de.einsum("ik,ik->", s, s), [x])
+        (g2,) = de.backward(de.einsum("i,i->", g1, de.constant(np.ones(1))), [x])
 
         h = 1e-5
 
@@ -156,7 +156,8 @@ class TestBasisNode:
     def test_clamped_region_zero_gradient(self):
         spec = SplineSpec()
         x = de.variable(np.array([-3.0, 0.5, 3.0]))
-        y = de.reduce_sum(spline_slots(feature_node(x, spec), spec))
+        s = spline_slots(feature_node(x, spec), spec)
+        y = de.einsum("ik,ik->", s, de.constant(np.ones(s.shape)))
         (g,) = de.backward(y, [x])
         assert g.value[0] == 0.0 and g.value[2] == 0.0
 
@@ -189,12 +190,12 @@ class TestFeatureNode:
 
         def grad(v):
             x = de.variable(v)
-            y = de.reduce_sum(de.square(de.mul(feature_node(x, spec), de.constant(w))))
-            (g1,) = de.backward(y, [x])
+            m = de.mul(feature_node(x, spec), de.constant(w))
+            (g1,) = de.backward(de.einsum("ik,ik->", m, m), [x])
             return x, g1
 
         x, g1 = grad(x0)
-        (g2,) = de.backward(de.reduce_sum(de.square(g1)), [x])
+        (g2,) = de.backward(de.einsum("i,i->", g1, g1), [x])
 
         def f(v):
             return float(np.square(grad(v)[1].value).sum())
