@@ -30,6 +30,25 @@ class TestPrimitives:
         with pytest.raises(de.ShapeMismatch, match="add"):
             de.add(de.constant(np.ones(3)), de.constant(np.ones(4)))
 
+    def test_abs_subgradient(self):
+        # |x| as the penalty writes it, x . sign(x) with the sign frozen
+        x = de.variable(-2.5)
+        y = total(x, de.constant(np.sign(x.value)))
+        assert y.value == 2.5
+        (g,) = de.backward(y, [x])
+        assert g.value == -1.0
+
+    def test_abs_at_zero_sign_zero(self):
+        x = de.variable(0.0)
+        (g,) = de.backward(total(x, de.constant(np.sign(x.value))), [x])
+        assert g.value == 0.0
+
+    def test_sum_mean_hand(self):
+        x = de.constant([[1.0, 2.0], [3.0, 4.0]])
+        mean0 = de.scale(de.einsum("ij,i->j", x, de.constant(np.ones(2))), 1 / 2)
+        assert np.array_equal(mean0.value, [2.0, 3.0])
+        assert total(mean0).value == 5.0
+
     @pytest.mark.parametrize("op", ["add", "mul"])
     def test_no_scalar_broadcast(self, op):
         x, s = de.constant(np.ones(3)), de.constant(2.0)
@@ -213,12 +232,32 @@ def check_first_and_second_derivatives(op, a0, b0, rng):
         assert relerr(ga.value, fd_a) < 1e-6 and relerr(gb.value, fd_b) < 1e-6
 
 
-# every primitive but einsum (tested above), as op(a, b); `scalar` gives a
-# and b shape (), as in the sum of the two loss terms
+def _ones(n):
+    return de.constant(np.ones(n))
+
+
+def _labels(x):
+    return "ij"[:x.value.ndim]
+
+
+# every primitive but einsum (tested above), then the difference, square,
+# |x|, broadcast and reductions that the package composes from primitives,
+# as op(a, b); `scalar` gives a and b shape (), as in the sum of the two
+# loss terms, except for the reductions over one axis
 PRIMITIVES = {
     "add": lambda a, b: de.add(a, b),
     "mul": lambda a, b: de.mul(a, b),
     "scale": lambda a, b: de.scale(a, -1.7),
+    "sub": lambda a, b: de.add(a, de.scale(b, -1.0)),
+    "square": lambda a, b: de.mul(a, a),
+    "absval": lambda a, b: de.mul(a, de.constant(np.sign(a.value))),
+    "expand": lambda a, b: de.einsum(
+        f"{_labels(a)},k->{_labels(a)[:1]}k{_labels(a)[1:]}", a, _ones(3)),
+    "reduce_sum": lambda a, b: total(a),
+    "reduce_sum_axis": lambda a, b: de.einsum("ij,i->j", a, _ones(a.shape[0])),
+    "reduce_mean": lambda a, b: de.scale(total(a), 1 / a.value.size),
+    "reduce_mean_axis": lambda a, b: de.scale(
+        de.einsum("ij,j->i", a, _ones(a.shape[1])), 1 / a.shape[1]),
 }
 
 
@@ -230,6 +269,7 @@ class TestPrimitiveDerivatives:
     def test_first_and_second_derivatives_vs_finite_differences(self, name, dims,
                                                                   scalar, seed):
         rng = np.random.default_rng(seed)
+        scalar = scalar and not name.endswith("_axis")
         a0 = rng.uniform(-1, 1, () if scalar else dims)
         b0 = rng.uniform(-1, 1, () if scalar else dims)
         check_first_and_second_derivatives(PRIMITIVES[name], a0, b0, rng)
