@@ -122,6 +122,8 @@ def load_config(path: str | None, overrides) -> dict:
 def make_data(cfg: dict, seed: int) -> tuple[TimeSeries, AdjacencyTruth | None]:
     """Read data.series (and data.truth) if set, whatever the source; else simulate."""
     d = cfg["data"]
+    if seed < 0:
+        raise CliError(f"seed must be >= 0, got {seed}")
     if d["truth"] and not d["series"]:
         raise CliError("data.truth requires data.series")
     if d["series"]:
@@ -174,32 +176,35 @@ def cmd_eval(gc_path, truth_path, mode: str, out: Path | None, delimiter: str) -
 
 
 def cmd_run(cfg: dict, out: Path) -> int:
-    seeds = cfg["run"]["seeds"]
-    lams = cfg["run"]["lams"] or [cfg["train"]["lam"]]
+    for key in ("seeds", "lams"):
+        if cfg["run"][key] == []:
+            raise CliError(f"run.{key} must not be empty")
+    seeds, lams = cfg["run"]["seeds"], cfg["run"]["lams"] or [cfg["train"]["lam"]]
     mode = cfg["eval"]["mode"]
     base = TrainConfig(**cfg["train"])  # bad config or data fails before anything is written
+    configs = [(lam, seed, dataclasses.replace(base, seed=seed, lam=lam))
+               for lam in lams for seed in seeds]
     d = cfg["data"]
     if (d["series"] or d["source"] == "csv") and not d["truth"]:
         raise CliError("run needs ground truth (simulator source or data.truth)")
     data = {seed: make_data(cfg, seed) for seed in seeds}
     out.mkdir(parents=True, exist_ok=True)
     results = []
-    for lam in lams:
-        for seed in seeds:
-            sub = out / f"lam{lam}_seed{seed}"
-            sub.mkdir(parents=True, exist_ok=True)
-            series, truth = data[seed]
-            save_csv(series, sub / "series.csv")
-            np.savetxt(sub / "truth.csv", truth.matrix, fmt="%d", delimiter=",")
-            report = train(series, dataclasses.replace(base, seed=seed, lam=lam))
-            report.gc.to_csv(sub / "gc_matrix.csv")
-            report.to_json(sub / "train_report.json")
-            metrics = evaluate(report.gc.scores, truth.matrix, mode)
-            write_metrics(metrics, sub / "metrics.json")
-            results.append({"lam": lam, "seed": seed, **metrics,
-                            "seconds": report.seconds, "epochs": report.epochs_run})
-            print(f"lam={lam:g} seed={seed}: auroc={metrics['auroc']:.3f} "
-                  f"auprc={metrics['auprc']:.3f} ({report.seconds:.1f}s)")
+    for lam, seed, tcfg in configs:
+        sub = out / f"lam{lam}_seed{seed}"
+        sub.mkdir(parents=True, exist_ok=True)
+        series, truth = data[seed]
+        save_csv(series, sub / "series.csv")
+        np.savetxt(sub / "truth.csv", truth.matrix, fmt="%d", delimiter=",")
+        report = train(series, tcfg)
+        report.gc.to_csv(sub / "gc_matrix.csv")
+        report.to_json(sub / "train_report.json")
+        metrics = evaluate(report.gc.scores, truth.matrix, mode)
+        write_metrics(metrics, sub / "metrics.json")
+        results.append({"lam": lam, "seed": seed, **metrics,
+                        "seconds": report.seconds, "epochs": report.epochs_run})
+        print(f"lam={lam:g} seed={seed}: auroc={metrics['auroc']:.3f} "
+              f"auprc={metrics['auprc']:.3f} ({report.seconds:.1f}s)")
     summary = {"config": cfg, "runs": results}
     for lam in lams:
         rows = [r for r in results if r["lam"] == lam]

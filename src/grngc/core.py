@@ -61,6 +61,7 @@ class TrainConfig:
             (self.lr > 0, f"lr must be > 0, got {self.lr}"),
             (self.lag >= 1, f"lag must be >= 1, got {self.lag}"),
             (self.epochs >= 1, f"epochs must be >= 1, got {self.epochs}"),
+            (self.seed >= 0, f"seed must be >= 0, got {self.seed}"),
             (self.backbone in (KAN, MLP), f"backbone must be kan or mlp, got {self.backbone!r}"),
             (self.batch_size >= 0, f"batch_size must be >= 0, got {self.batch_size}"),
             (all(h >= 1 for h in self.hidden),
@@ -109,7 +110,7 @@ SCORE_CHUNK = 256
 
 def _mse(pred: de.Node, targets: np.ndarray) -> de.Node:
     d = de.add(pred, de.constant(-targets))
-    return de.scale(de.einsum("bo,bo->", d, d), 1.0 / d.value.size)
+    return de.einsum(",->", de.constant(1.0 / d.value.size), de.einsum("bo,bo->", d, d))
 
 
 def prediction_loss(backbone: Backbone, dataset: WindowedDataset) -> de.Node:
@@ -131,8 +132,8 @@ class LossGraph:
             pred, jac = forward_jacobian(backbone, x, self.params)
             # sum |J| = J . sign(J), the sign frozen: subgradient 0 at 0, no 2nd-order term
             sign = de.constant(np.sign(jac.value))
-            self.sparsity = de.scale(de.einsum("boi,boi->", jac, sign),
-                                     lam / (dataset.n_samples * dataset.lag))
+            weight = de.constant(lam / (dataset.n_samples * dataset.lag))
+            self.sparsity = de.einsum(",->", weight, de.einsum("boi,boi->", jac, sign))
         else:
             pred = forward_graph(backbone, x, self.params)
             self.sparsity = de.constant(0.0)

@@ -77,13 +77,12 @@ class Lorenz96Config:
     dt: float = 0.05
     burn_in: int = 1000
     seed: int = 0
-    obs_noise_sigma: float = 0.0
 
     def __post_init__(self):
         if self.p < 4:
             raise DataError(f"Lorenz-96 stencil needs p >= 4, got {self.p}")
-        if self.dt <= 0 or self.forcing <= 0 or self.T < 2:
-            raise DataError("need dt > 0, forcing > 0, T >= 2")
+        if self.dt <= 0 or self.forcing <= 0 or self.T < 2 or self.burn_in < 0:
+            raise DataError("need dt > 0, forcing > 0, T >= 2, burn_in >= 0")
 
 
 def lorenz96_truth(p: int) -> AdjacencyTruth:
@@ -116,10 +115,7 @@ def simulate_lorenz96(cfg: Lorenz96Config) -> tuple[TimeSeries, AdjacencyTruth]:
     if not np.all(np.isfinite(warm)) or not np.all(np.isfinite(traj)):
         bad = int(np.argmax(~np.all(np.isfinite(np.vstack([warm, traj])), axis=1)))
         raise SimulationError(f"Lorenz-96 state became non-finite at step {bad}")
-    data = traj
-    if cfg.obs_noise_sigma > 0:
-        data = data + rng.normal(0.0, cfg.obs_noise_sigma, data.shape)
-    return TimeSeries(data), lorenz96_truth(cfg.p)
+    return TimeSeries(traj), lorenz96_truth(cfg.p)
 
 
 def _companion_spectral_radius(coeffs: list[np.ndarray]) -> float:
@@ -148,6 +144,8 @@ def simulate_var(coeffs, T: int, noise_sigma: float = 0.1, seed: int = 0,
     if radius >= 1.0:
         raise SimulationError(f"unstable VAR coefficients, spectral radius {radius:.4f}")
     L = len(coeffs)
+    if T <= L:
+        raise DataError(f"VAR({L}) needs T > {L}, got T={T}")
     rng = np.random.default_rng(seed)
     data = np.zeros((T, p))
     if x0 is not None:
@@ -171,6 +169,8 @@ def random_sparse_var1(p: int, density: float, seed: int,
                        radius: float = 0.45) -> np.ndarray:
     """Sparse stable VAR(1) coefficient matrix with a nonzero diagonal,
     rescaled to the requested spectral radius."""
+    if p < 1:
+        raise DataError(f"VAR needs p >= 1, got {p}")
     rng = np.random.default_rng(seed)
     a = np.zeros((p, p))
     mask = rng.random((p, p)) < density
@@ -210,13 +210,11 @@ def load_csv(path, has_header: bool = True, delimiter: str = ",") -> TimeSeries:
     return TimeSeries(np.array(rows), names)
 
 
-def save_csv(series: TimeSeries, path, delimiter: str = ",") -> None:
+def save_csv(series: TimeSeries, path) -> None:
     """17 significant digits, so save -> load round-trips float64 exactly."""
     names = series.names or [f"x{i}" for i in range(series.p)]
-    with open(path, "w") as fh:
-        fh.write(delimiter.join(names) + "\n")
-        for row in series.data:
-            fh.write(delimiter.join(f"{v:.17g}" for v in row) + "\n")
+    np.savetxt(path, series.data, fmt="%.17g", delimiter=",", header=",".join(names),
+               comments="")
 
 
 def standardize(series: TimeSeries) -> tuple[TimeSeries, np.ndarray, np.ndarray]:

@@ -2,11 +2,12 @@
 
 Every backward rule is itself built out of the primitives in this module, so
 gradients are ordinary graph nodes and can be differentiated again (double
-backprop). The primitives are `add`, `mul` and `scale`, elementwise on
-operands of one shape, and `einsum`, which carries every contraction,
-reduction and broadcast: a sum is a contraction with a constant of ones, a
-broadcast an outer product with one. There is no implicit broadcasting; any
-shape mixing is an error.
+backprop). There are two primitives: `add`, of operands of one shape, and
+`einsum`, which carries every product, contraction, reduction and broadcast:
+an elementwise product repeats every label, a scaling is a product with a
+0-d constant, a sum a contraction to a 0-d output and a broadcast an outer
+product with ones. There is no implicit broadcasting; any shape mixing is an
+error.
 """
 from __future__ import annotations
 
@@ -70,24 +71,10 @@ def constant(value) -> Node:
     return Node(value, requires_grad=False, op="const")
 
 
-def _check_elementwise(op: str, a: Node, b: Node):
-    if a.shape != b.shape:
-        raise ShapeMismatch(op, a.shape, b.shape)
-
-
 def add(a: Node, b: Node) -> Node:
-    _check_elementwise("add", a, b)
+    if a.shape != b.shape:
+        raise ShapeMismatch("add", a.shape, b.shape)
     return Node(a.value + b.value, (a, b), lambda g: (g, g), op="add")
-
-
-def mul(a: Node, b: Node) -> Node:
-    _check_elementwise("mul", a, b)
-    return Node(a.value * b.value, (a, b), lambda g: (mul(g, b), mul(g, a)), op="mul")
-
-
-def scale(x: Node, s: float) -> Node:
-    s = float(s)
-    return Node(x.value * s, (x,), lambda g: (scale(g, s),), op="scale")
 
 
 def einsum(spec: str, a: Node, b: Node) -> Node:

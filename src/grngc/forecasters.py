@@ -1,8 +1,9 @@
 """Forecasting backbones behind one interface: KAN (SiLU base + B-spline
 edge functions) and a SiLU MLP. Both map a flattened lag window of k*p values
-to a p-vector prediction as graphs of diffengine and splines ops. The same
-layer loop can also build the per-sample input Jacobian from the forward
-activations, as a graph that a single backward differentiates."""
+to a p-vector prediction as graphs of diffengine and splines ops, through one
+layer body. The same layer loop can also build the per-sample input Jacobian
+from the forward activations, as a graph that a single backward
+differentiates."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
@@ -10,7 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import diffengine as de
-from .splines import SplineSpec, feature_node, silu_node
+from .splines import SplineSpec, feature_node
 
 KAN = "kan"
 MLP = "mlp"
@@ -108,6 +109,10 @@ def _layers(backbone: Backbone, x: de.Node, param_nodes: list[de.Node], jacobian
     params = iter(param_nodes)
     # (einsum spec, node) pairs that right-multiply the Jacobian from the output side
     factors = []
+    # a layer is einsum(features of h, W) over the input and feature axes;
+    # the KAN features are [silu | B_0 ... B_{K-1}] on axis k, the MLP's
+    # silu alone, and the MLP's first layer takes the raw input
+    spec, f = (backbone.spec, "k") if backbone.kind == KAN else (None, "")
     for li in range(len(backbone.layers)):
         if backbone.kind == KAN:
             wb, ws, c = next(params), next(params), next(params)
@@ -116,31 +121,27 @@ def _layers(backbone: Backbone, x: de.Node, param_nodes: list[de.Node], jacobian
             w = de.add(de.einsum("oi,k->oik", wb, de.constant(np.eye(1, 1 + k)[0])),
                        de.einsum("oij,jk->oik", de.einsum("oi,oij->oij", ws, c),
                                  de.constant(np.eye(k, 1 + k, 1))))
-            dfeat = None
-            if jacobian:
-                dfeat = feature_node(h, backbone.spec, 1)
-                factors.append(("boh,bhi->boi", de.einsum("oik,bik->boi", w, dfeat)))
-            h = de.einsum("bik,oik->bo", feature_node(h, backbone.spec, dfeat=dfeat), w)
         else:
             w, b = next(params), next(params)
-            # past the first layer the input is silu of the previous output,
-            # a KAN layer with the one feature silu
-            if li > 0:
-                dact = None
-                if jacobian:
-                    dact = silu_node(h, 1)
-                    factors.append(("boh,bhi->boi", de.einsum("oh,bh->boh", w, dact)))
-                h = silu_node(h, dnext=dact)
-            elif jacobian:
+        if backbone.kind == MLP and li == 0:
+            if jacobian:
                 factors.append(("boh,hi->boi", w))
-            h = de.add(de.einsum("bi,oi->bo", h, w), de.einsum("b,o->bo", ones, b))
+        else:
+            dfeat = None
+            if jacobian:
+                dfeat = feature_node(h, spec, 1)
+                factors.append(("boh,bhi->boi", de.einsum(f"oi{f},bi{f}->boi", w, dfeat)))
+            h = feature_node(h, spec, dfeat=dfeat)
+        h = de.einsum(f"bi{f},oi{f}->bo", h, w)
+        if backbone.kind == MLP:
+            h = de.add(h, de.einsum("b,o->bo", ones, b))
     if not jacobian:
         return h, None
     jac = factors.pop()[1]
     if jac.value.ndim == 2:
         jac = de.einsum("b,oi->boi", ones, jac)
-    for spec, factor in reversed(factors):
-        jac = de.einsum(spec, jac, factor)
+    for chain, factor in reversed(factors):
+        jac = de.einsum(chain, jac, factor)
     return h, jac
 
 

@@ -23,7 +23,6 @@ class MetricError(Exception):
 class EdgeScorePairs:
     scores: np.ndarray
     labels: np.ndarray
-    mode: str = FULL
 
     def __post_init__(self):
         self.scores = np.asarray(self.scores, dtype=np.float64)
@@ -47,8 +46,8 @@ def flatten(gc_scores: np.ndarray, truth: np.ndarray, mode: str = FULL) -> EdgeS
         raise MetricError(f"unknown mode {mode!r}")
     if mode == OFF_DIAGONAL:
         keep = ~np.eye(gc_scores.shape[0], dtype=bool)
-        return EdgeScorePairs(gc_scores[keep], truth[keep], mode)
-    return EdgeScorePairs(gc_scores.reshape(-1), truth.reshape(-1), mode)
+        return EdgeScorePairs(gc_scores[keep], truth[keep])
+    return EdgeScorePairs(gc_scores.reshape(-1), truth.reshape(-1))
 
 
 def _tie_groups(pairs: EdgeScorePairs) -> tuple[np.ndarray, np.ndarray]:

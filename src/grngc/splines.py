@@ -1,6 +1,6 @@
-"""B-spline specification and the differentiable activation ops: SiLU of any
-order, and the KAN features (SiLU and the B-spline basis of every input, on
-one trailing feature axis)."""
+"""B-spline specification and the one differentiable activation op: SiLU of
+any order, alone (MLP) or with the B-spline basis of every input on one
+trailing feature axis (KAN)."""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -70,30 +70,23 @@ def _silu_deriv(a: np.ndarray, n: int) -> np.ndarray:
     return a * np.polyval(polys[n], s) + (n * np.polyval(polys[n - 1], s) if n else 0.0)
 
 
-def silu_node(x: de.Node, deriv: int = 0, dnext: de.Node | None = None) -> de.Node:
-    """Graph op: the deriv-th derivative of silu, elementwise. The backward
-    rule multiplies the upstream gradient by the next-order node, `dnext` or
-    one built on demand, so any order of differentiation works."""
-    def vjp(g):
-        return (de.mul(g, dnext if dnext is not None else silu_node(x, deriv + 1)),)
-
-    return de.Node(_silu_deriv(x.value, deriv), (x,), vjp, op="silu")
-
-
-def feature_node(x: de.Node, spec: SplineSpec, deriv: int = 0,
+def feature_node(x: de.Node, spec: SplineSpec | None = None, deriv: int = 0,
                  dfeat: de.Node | None = None) -> de.Node:
-    """Graph op: the KAN features [silu(a), B_0(a) ... B_{K-1}(a)] of every
-    element a of x (or their deriv-th derivative) on a trailing axis of
-    length 1 + spec.n_basis. The backward rule contracts the upstream
-    gradient with the next-order node, `dfeat` or one built on demand, so any
-    order of differentiation works.
+    """Graph op: the activation features of every element a of x, or their
+    deriv-th derivative. With a spec these are the KAN features
+    [silu(a), B_0(a) ... B_{K-1}(a)] on a trailing axis of length
+    1 + spec.n_basis; without one, silu(a) alone and no feature axis. The
+    backward rule contracts the upstream gradient with the next-order node,
+    `dfeat` or one built on demand, so any order of differentiation works.
     """
     a = x.value
-    values = np.concatenate([_silu_deriv(a, deriv)[..., None], basis_values(a, spec, deriv)], -1)
+    values = _silu_deriv(a, deriv)
+    if spec is not None:
+        values = np.concatenate([values[..., None], basis_values(a, spec, deriv)], -1)
 
     def vjp(g):
         d = dfeat if dfeat is not None else feature_node(x, spec, deriv + 1)
-        lead = "abcdefgh"[:a.ndim]  # the feature axis is k
-        return (de.einsum(f"{lead}k,{lead}k->{lead}", g, d),)
+        lead, f = "abcdefgh"[:a.ndim], "k" if spec is not None else ""
+        return (de.einsum(f"{lead}{f},{lead}{f}->{lead}", g, d),)
 
     return de.Node(values, (x,), vjp, op="features")

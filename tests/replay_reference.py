@@ -36,12 +36,12 @@ def replay_loss(backbone, dataset, lam):
     """(loss, prediction loss, sparsity, parameter nodes) as graphs."""
     pred, params, rows = replay_rows(backbone, dataset)
     d = de.add(pred, de.constant(-dataset.targets))
-    pred_loss = de.scale(de.einsum("bo,bo->", d, d), 1.0 / d.value.size)
+    pred_loss = de.einsum(",->", de.constant(1.0 / d.value.size), de.einsum("bo,bo->", d, d))
     ones = de.constant(np.ones(pred.shape[1]))
     sparsity = de.einsum("i,i->", rows[0], ones)
     for row in rows[1:]:
         sparsity = de.add(sparsity, de.einsum("i,i->", row, ones))
-    sparsity = de.scale(sparsity, lam)
+    sparsity = de.einsum(",->", de.constant(lam), sparsity)
     return de.add(pred_loss, sparsity), pred_loss, sparsity, params
 
 

@@ -125,6 +125,26 @@ class TestConfig:
         assert "data.truth requires data.series" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("args,message", [
+        (["simulate", "--seed", "-1"], "seed must be >= 0, got -1"),
+        (["simulate", "--set", "data.seed=-1"], "seed must be >= 0, got -1"),
+        (["infer", "--seed", "-1"], "seed must be >= 0, got -1"),
+        (["run", "--set", "run.seeds=[0,-1]"], "seed must be >= 0, got -1"),
+        (["simulate", "--set", "data.source=var", "--set", "data.p=0"], "VAR needs p >= 1, got 0"),
+        (["simulate", "--set", "data.source=var", "--set", "data.T=1"], "VAR(1) needs T > 1"),
+        (["simulate", "--set", "data.burn_in=-1"], "burn_in >= 0"),
+    ], ids=["simulate --seed", "data.seed", "infer --seed", "run.seeds", "var data.p",
+            "var data.T", "data.burn_in"])
+    def test_bad_seed_or_size_writes_nothing(self, tmp_path, capsys, args, message):
+        out = tmp_path / "x"
+        # a case's own --set comes last, so it wins over these
+        rc = main(args[:1] + ["--out", str(out), "--set", "data.T=60",
+                              "--set", "train.epochs=1"] + args[1:])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert not out.exists()
+
     def test_int_accepted_for_float(self):
         assert load_config(None, ["train.lam=1", "run.lams=[0,1]"])["train"]["lam"] == 1
 
@@ -303,6 +323,22 @@ class TestRun:
         main(args + ["--out", str(b)])
         assert (a / "lam0.001_seed0" / "gc_matrix.csv").read_bytes() == \
                (b / "lam0.001_seed0" / "gc_matrix.csv").read_bytes()
+
+    def test_bad_lambda_writes_nothing(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        rc = main(["run", "--out", str(out), "--set", "run.seeds=[0]",
+                   "--set", "run.lams=[0.001,-1]"] + FAST_VAR)
+        assert rc == 1
+        assert "lambda must be >= 0, got -1" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key", ["run.seeds", "run.lams"])
+    def test_empty_sweep_named_error(self, tmp_path, capsys, key):
+        out = tmp_path / "run"
+        rc = main(["run", "--out", str(out), "--set", f"{key}=[]"] + FAST_VAR)
+        assert rc == 1
+        assert f"{key} must not be empty" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.fixture
     def var3(self, tmp_path):

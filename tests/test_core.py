@@ -241,6 +241,17 @@ def max_err(got, ref):
     return np.max(np.abs(np.asarray(got) - np.asarray(ref))) / max(1.0, np.max(np.abs(ref)))
 
 
+def reachable(roots):
+    """Every node reachable from `roots` through Node.parents, once each."""
+    stack, seen = list(roots), {}
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen[id(node)] = node
+            stack.extend(node.parents)
+    return list(seen.values())
+
+
 class TestGraphLifetime:
     @pytest.mark.parametrize("kind", ["kan", "mlp"])
     def test_freed_without_cycle_collector(self, kind):
@@ -271,15 +282,20 @@ class TestGraphLifetime:
         bb = fc.init_backbone(kind, [6, 4, 3], seed=0)
         ds = WindowedDataset(rng.normal(size=(5, 6)), rng.normal(size=(5, 3)), 2)
         graph = LossGraph(bb, ds, 1e-2)
-        stack = [graph.loss, *de.backward(graph.loss, graph.params)]
-        seen = {}
-        while stack:
-            node = stack.pop()
-            if id(node) not in seen:
-                seen[id(node)] = node
-                stack.extend(node.parents)
-        arrays = {id(n.value) for n in seen.values() if n.shape == (5, 3, 6)}
+        nodes = reachable([graph.loss, *de.backward(graph.loss, graph.params)])
+        arrays = {id(n.value) for n in nodes if n.shape == (5, 3, 6)}
         assert len(arrays) == 3
+
+    @pytest.mark.parametrize("kind", ["kan", "mlp"])
+    def test_nodes_are_add_einsum_and_features(self, kind):
+        # the loss and its backward use two engine primitives and the one
+        # activation op; two hidden layers give the MLP its silu features
+        rng = np.random.default_rng(0)
+        bb = fc.init_backbone(kind, [6, 4, 4, 3], seed=0)
+        ds = WindowedDataset(rng.normal(size=(5, 6)), rng.normal(size=(5, 3)), 2)
+        graph = LossGraph(bb, ds, 1e-2)
+        ops = {n.op for n in reachable([graph.loss, *de.backward(graph.loss, graph.params)])}
+        assert ops == {"var", "const", "add", "einsum", "features"}
 
 
 class TestReplayExactness:

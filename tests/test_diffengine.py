@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import grngc.diffengine as de
-from grngc.splines import silu_node
+from grngc.splines import feature_node
 
 
 def relerr(a, b):
@@ -16,6 +16,18 @@ def total(x, w=None):
     labels = "abcdefgh"[:x.value.ndim]
     w = de.constant(np.ones(x.shape)) if w is None else w
     return de.einsum(f"{labels},{labels}->", x, w)
+
+
+def times(a, b):
+    """Elementwise product of equal shapes, as an einsum that repeats every label."""
+    labels = "abcdefgh"[:a.value.ndim]
+    return de.einsum(f"{labels},{labels}->{labels}", a, b)
+
+
+def scaled(x, s):
+    """x times the number s, as an einsum with a 0-d constant."""
+    labels = "abcdefgh"[:x.value.ndim]
+    return de.einsum(f",{labels}->{labels}", de.constant(s), x)
 
 
 class TestPrimitives:
@@ -45,28 +57,33 @@ class TestPrimitives:
 
     def test_sum_mean_hand(self):
         x = de.constant([[1.0, 2.0], [3.0, 4.0]])
-        mean0 = de.scale(de.einsum("ij,i->j", x, de.constant(np.ones(2))), 1 / 2)
+        mean0 = scaled(de.einsum("ij,i->j", x, de.constant(np.ones(2))), 1 / 2)
         assert np.array_equal(mean0.value, [2.0, 3.0])
         assert total(mean0).value == 5.0
 
     @pytest.mark.parametrize("op", ["add", "mul"])
     def test_no_scalar_broadcast(self, op):
+        # neither the sum nor the elementwise product (an einsum) broadcasts
+        fn, name = (de.add, "add") if op == "add" else (times, "einsum")
         x, s = de.constant(np.ones(3)), de.constant(2.0)
         for a, b in ((x, s), (s, x)):
-            with pytest.raises(de.ShapeMismatch, match=op):
-                getattr(de, op)(a, b)
+            with pytest.raises(de.ShapeMismatch, match=name):
+                fn(a, b)
 
 
 class TestSilu:
+    """feature_node without a spline spec: silu alone, no feature axis."""
+
     def test_at_zero(self):
-        assert silu_node(de.constant(0.0)).value == 0.0
+        assert feature_node(de.constant(0.0)).value == 0.0
 
     def test_at_one(self):
-        assert silu_node(de.constant(1.0)).value == pytest.approx(0.7310585786300049, abs=1e-12)
+        assert feature_node(de.constant(1.0)).value == pytest.approx(0.7310585786300049,
+                                                                     abs=1e-12)
 
     def test_derivative_at_zero(self):
         x = de.variable(0.0)
-        (g,) = de.backward(silu_node(x), [x])
+        (g,) = de.backward(feature_node(x), [x])
         assert g.value == pytest.approx(0.5, abs=1e-12)
 
     @pytest.mark.parametrize("order", range(3))
@@ -77,22 +94,23 @@ class TestSilu:
         rng = np.random.default_rng(order)
         x0 = rng.uniform(-4, 4, (2, 3))
         fd = de.finite_difference(
-            lambda v: float(silu_node(de.constant(v), order).value.sum()), x0.copy())
-        assert relerr(silu_node(de.constant(x0), order + 1).value, fd) < 1e-6
-        for op in (lambda a, b: silu_node(a, order),
-                   lambda a, b: silu_node(a, order, dnext=silu_node(a, order + 1))):
+            lambda v: float(feature_node(de.constant(v), deriv=order).value.sum()), x0.copy())
+        assert relerr(feature_node(de.constant(x0), deriv=order + 1).value, fd) < 1e-6
+        for op in (lambda a, b: feature_node(a, deriv=order),
+                   lambda a, b: feature_node(a, deriv=order,
+                                             dfeat=feature_node(a, deriv=order + 1))):
             check_first_and_second_derivatives(op, x0, np.zeros(()), rng)
 
 
 class TestBackward:
     def test_square_gradient(self):
         x = de.variable(3.0)
-        (g,) = de.backward(de.mul(x, x), [x])
+        (g,) = de.backward(times(x, x), [x])
         assert g.value == 6.0
 
     def test_second_derivative(self):
         x = de.variable(2.0)
-        y = de.mul(de.mul(x, x), x)
+        y = times(times(x, x), x)
         (g1,) = de.backward(y, [x])
         (g2,) = de.backward(g1, [x])
         assert g2.value == pytest.approx(12.0, abs=1e-10)
@@ -105,13 +123,13 @@ class TestBackward:
     def test_unreachable_gradient_zero(self):
         x = de.variable(2.0)
         z = de.variable(np.ones((2, 2)))
-        (g,) = de.backward(de.mul(x, x), [z])
+        (g,) = de.backward(times(x, x), [z])
         assert g.shape == (2, 2)
         assert np.all(g.value == 0.0)
 
     def test_double_backward_with_retention_ok(self):
         x = de.variable(3.0)
-        y = de.mul(x, x)
+        y = times(x, x)
         (g1,) = de.backward(y, [x])
         (g2,) = de.backward(y, [x])
         assert g1.value == g2.value == 6.0
@@ -141,16 +159,16 @@ class TestBackward:
 
         def build(xv):
             x = de.variable(xv)
-            a = de.mul(de.scale(x, 0.7), de.scale(x, 0.7))
+            a = times(scaled(x, 0.7), scaled(x, 0.7))
             d = de.einsum("bi,oi->bo", a, de.constant(rng_w))
             c = de.add(d, de.constant(np.full(d.shape, -0.1)))
-            e = de.add(de.mul(d, d), de.mul(c, de.constant(np.sign(c.value))))
-            f = de.add(de.mul(e, e), de.scale(de.mul(e, d), -1.0))
-            g = de.scale(de.einsum("bo,b->o", f, de.constant(np.ones(3))), 1 / 3)
+            e = de.add(times(d, d), times(c, de.constant(np.sign(c.value))))
+            f = de.add(times(e, e), scaled(times(e, d), -1.0))
+            g = scaled(de.einsum("bo,b->o", f, de.constant(np.ones(3))), 1 / 3)
             h = de.einsum("ro,o->r", de.einsum("o,r->ro", g, de.constant(np.ones(2))),
                           de.constant(np.ones(5)))
-            r = total(de.mul(x, x), de.constant(rng_r.reshape(3, 4)))
-            return x, de.add(de.scale(total(h), 1 / 2), r)
+            r = total(times(x, x), de.constant(rng_r.reshape(3, 4)))
+            return x, de.add(scaled(total(h), 1 / 2), r)
 
         rng_w = rng.uniform(-1, 1, (5, 4))
         rng_r = rng.uniform(-1, 1, (2, 6))
@@ -165,11 +183,13 @@ class TestBackward:
         assert relerr(g.value, fd) < 1e-6
 
 
-# every contraction pattern of the package (forecasters, loss, penalty and the
-# feature rule), plus a plain matrix product
-EINSUM_SPECS = ["ij,jk->ik", "oi,bi->boi", "oik,bik->boi", "boh,bhi->boi",
-                "boh,hi->boi", "boh,bh->boh", "bo,bo->", "boi,boi->", "b,o->bo",
-                "b,oi->boi", "bik,bik->bi"]
+# every contraction pattern of the package (KAN weights, layers and factors,
+# the Jacobian chain, loss, penalty, scalings and the feature rules), plus a
+# plain matrix product
+EINSUM_SPECS = ["ij,jk->ik", "oi,k->oik", "oij,jk->oik", "oi,oij->oij", "bik,oik->bo",
+                "bi,oi->bo", "oik,bik->boi", "oi,bi->boi", "boh,bhi->boi", "boh,hi->boi",
+                "bo,bo->", "boi,boi->", ",->", "b,o->bo", "b,oi->boi", "bik,bik->bi",
+                "bi,bi->bi"]
 
 
 class TestEinsum:
@@ -191,7 +211,7 @@ class TestEinsum:
         with pytest.raises(de.ShapeMismatch, match="einsum"):
             de.einsum(spec, a, b)
 
-    @settings(max_examples=40, deadline=None)
+    @settings(max_examples=60, deadline=None)
     @given(spec=st.sampled_from(EINSUM_SPECS),
            dims=st.lists(st.integers(1, 3), min_size=4, max_size=4),
            seed=st.integers(0, 2 ** 16))
@@ -217,7 +237,7 @@ def check_first_and_second_derivatives(op, a0, b0, rng):
     def graph(av, bv):
         a, b = de.variable(av), de.variable(bv)
         y = op(a, b)
-        return a, b, total(de.mul(weight, y), y)
+        return a, b, total(times(weight, y), y)
 
     def directional(av, bv):
         a, b, f = graph(av, bv)
@@ -240,23 +260,23 @@ def _labels(x):
     return "ij"[:x.value.ndim]
 
 
-# every primitive but einsum (tested above), then the difference, square,
-# |x|, broadcast and reductions that the package composes from primitives,
-# as op(a, b); `scalar` gives a and b shape (), as in the sum of the two
-# loss terms, except for the reductions over one axis
+# add, the elementwise product and scaling (einsums), then the difference,
+# square, |x|, broadcast and reductions that the package composes from
+# primitives, as op(a, b); `scalar` gives a and b shape (), as in the sum of
+# the two loss terms, except for the reductions over one axis
 PRIMITIVES = {
     "add": lambda a, b: de.add(a, b),
-    "mul": lambda a, b: de.mul(a, b),
-    "scale": lambda a, b: de.scale(a, -1.7),
-    "sub": lambda a, b: de.add(a, de.scale(b, -1.0)),
-    "square": lambda a, b: de.mul(a, a),
-    "absval": lambda a, b: de.mul(a, de.constant(np.sign(a.value))),
+    "mul": lambda a, b: times(a, b),
+    "scale": lambda a, b: scaled(a, -1.7),
+    "sub": lambda a, b: de.add(a, scaled(b, -1.0)),
+    "square": lambda a, b: times(a, a),
+    "absval": lambda a, b: times(a, de.constant(np.sign(a.value))),
     "expand": lambda a, b: de.einsum(
         f"{_labels(a)},k->{_labels(a)[:1]}k{_labels(a)[1:]}", a, _ones(3)),
     "reduce_sum": lambda a, b: total(a),
     "reduce_sum_axis": lambda a, b: de.einsum("ij,i->j", a, _ones(a.shape[0])),
-    "reduce_mean": lambda a, b: de.scale(total(a), 1 / a.value.size),
-    "reduce_mean_axis": lambda a, b: de.scale(
+    "reduce_mean": lambda a, b: scaled(total(a), 1 / a.value.size),
+    "reduce_mean_axis": lambda a, b: scaled(
         de.einsum("ij,j->i", a, _ones(a.shape[1])), 1 / a.shape[1]),
 }
 

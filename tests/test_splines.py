@@ -115,7 +115,8 @@ class TestKernel:
 def spline_slots(node, spec):
     """The feature node with its SiLU slot 0 zeroed, leaving slots 1:."""
     mask = np.broadcast_to(np.r_[0.0, np.ones(spec.n_basis)], node.shape).copy()
-    return de.mul(node, de.constant(mask))
+    labels = "abc"[:node.value.ndim]
+    return de.einsum(f"{labels},{labels}->{labels}", node, de.constant(mask))
 
 
 class TestBasisNode:
@@ -190,7 +191,7 @@ class TestFeatureNode:
 
         def grad(v):
             x = de.variable(v)
-            m = de.mul(feature_node(x, spec), de.constant(w))
+            m = de.einsum("ik,ik->ik", feature_node(x, spec), de.constant(w))
             (g1,) = de.backward(de.einsum("ik,ik->", m, m), [x])
             return x, g1
 
