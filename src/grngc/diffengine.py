@@ -146,7 +146,11 @@ def backward(root: Node, wrt: Sequence[Node]) -> list[Node]:
 
 
 def finite_difference(f: Callable[[np.ndarray], float], at, step: float = 1e-5) -> np.ndarray:
-    """Central-difference gradient estimate of a scalar function; test oracle."""
+    """Five-point central-difference gradient estimate of a scalar function;
+    test oracle. Its truncation error is O(step**4), so it is exact up to
+    rounding on polynomials of degree four or less: the three-point rule's
+    O(step**2) term swamps a gradient near a multiple root, such as that of
+    a**4 at small a."""
     if step <= 0:
         raise ValueError(f"step must be positive, got {step}")
     at = np.asarray(at, dtype=np.float64)
@@ -155,12 +159,13 @@ def finite_difference(f: Callable[[np.ndarray], float], at, step: float = 1e-5) 
     gflat = grad.reshape(-1)
     for i in range(flat.size):
         orig = flat[i]
-        flat[i] = orig + step
-        hi = float(f(at))
-        flat[i] = orig - step
-        lo = float(f(at))
+        vals = []
+        for k in (2, 1, -1, -2):
+            flat[i] = orig + k * step
+            vals.append(float(f(at)))
         flat[i] = orig
-        if not (np.isfinite(hi) and np.isfinite(lo)):
+        if not np.all(np.isfinite(vals)):
             raise NonFiniteValue(f"non-finite function value at coordinate {i}")
-        gflat[i] = (hi - lo) / (2.0 * step)
+        hi2, hi, lo, lo2 = vals
+        gflat[i] = (8.0 * (hi - lo) - (hi2 - lo2)) / (12.0 * step)
     return grad

@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import grngc.diffengine as de
@@ -286,6 +286,8 @@ class TestPrimitiveDerivatives:
     @settings(max_examples=15, deadline=None)
     @given(dims=st.lists(st.integers(1, 3), min_size=2, max_size=2),
            scalar=st.booleans(), seed=st.integers(0, 2 ** 16))
+    # a = -0.0022: for square, f = w*a**4 has a gradient of 3.5e-8
+    @example(dims=[1, 1], scalar=False, seed=235)
     def test_first_and_second_derivatives_vs_finite_differences(self, name, dims,
                                                                   scalar, seed):
         rng = np.random.default_rng(seed)
@@ -299,6 +301,12 @@ class TestFiniteDifference:
     def test_quadratic(self):
         fd = de.finite_difference(lambda v: float(v[0] * v[0]), np.array([3.0]))
         assert fd[0] == pytest.approx(6.0, abs=1e-8)
+
+    def test_quartic_near_root(self):
+        # the three-point rule's error here, 4*a*step**2, is 2e-5 of the gradient
+        a = np.array([-0.0022])
+        fd = de.finite_difference(lambda v: float(v[0] ** 4), a.copy())
+        assert fd[0] == pytest.approx(4 * a[0] ** 3, rel=1e-9)
 
     def test_constant(self):
         fd = de.finite_difference(lambda v: 1.0, np.zeros(4))
