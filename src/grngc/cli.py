@@ -228,7 +228,8 @@ def build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--config", default=None, help="JSON config file")
         p.add_argument("--out", default="out", help="output directory")
-        p.add_argument("--seed", type=int, default=None, help="override the seed")
+        p.add_argument("--seed", type=int, default=None,
+                       help="override the seed (run: this seed alone, not run.seeds)")
         p.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                        help="dotted-key config override, repeatable")
 
@@ -252,6 +253,8 @@ def main(argv=None) -> int:
             out = Path(args.out) if args.out else None
             return cmd_eval(args.gc_matrix, args.truth, args.mode, out, args.delimiter)
         cfg = load_config(args.config, args.set)
+        if args.command == "run" and args.seed is not None:
+            cfg["run"]["seeds"] = [args.seed]
         seed = args.seed if args.seed is not None else cfg["data"]["seed"]
         out = Path(args.out)
         if args.command == "simulate":

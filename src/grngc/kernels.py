@@ -3,8 +3,15 @@ integration."""
 from __future__ import annotations
 
 import ctypes
+import functools
 
 import numpy as np
+
+# looked up once: each ctypes.CDLL() builds a function-pointer class that sits
+# in a reference cycle until the cyclic collector runs
+_MALLOPT = getattr(ctypes.CDLL(None), "mallopt", None)
+if _MALLOPT is not None:
+    _MALLOPT.argtypes, _MALLOPT.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
 
 
 def backend_name() -> str:
@@ -15,11 +22,13 @@ def backend_name() -> str:
 def keep_freed_memory() -> None:
     """Keep memory freed by glibc malloc in the process: each training step or
     scoring block frees arrays the next allocates again, and pages handed back
-    to the kernel fault in anew at a machine-dependent cost. No-op off glibc."""
-    mallopt = getattr(ctypes.CDLL(None), "mallopt", None)
-    if mallopt is not None:
-        mallopt(-4, 0)        # M_MMAP_MAX: no array gets a mapping of its own
-        mallopt(-1, 1 << 30)  # M_TRIM_THRESHOLD: keep up to 1 GiB of free heap
+    to the kernel fault in anew at a machine-dependent cost. A block of 32 MiB
+    or more that no free heap chunk holds gets a mapping of its own and goes
+    back to the kernel when freed, so the largest arrays do not grow the heap
+    by a run-dependent amount. No-op off glibc."""
+    if _MALLOPT is not None:
+        _MALLOPT(-3, 32 << 20)  # M_MMAP_THRESHOLD: fixed, not raised by frees
+        _MALLOPT(-1, 1 << 30)   # M_TRIM_THRESHOLD: keep up to 1 GiB of free heap
 
 
 class NonUniformKnots(ValueError):
@@ -65,8 +74,19 @@ def bspline_basis_kernel(x: np.ndarray, knots: np.ndarray, degree: int, deriv: i
 # Lorenz-96: dx_i/dt = -x_{i-1}(x_{i-2} - x_{i+1}) - x_i + F, cyclic indices.
 # ---------------------------------------------------------------------------
 
+@functools.lru_cache(maxsize=None)
+def _l96_neighbours(p: int) -> np.ndarray:
+    """(3, p) indices of x_{i-1}, x_{i+1} and x_{i-2}, cyclic."""
+    idx = (np.arange(p) + np.array([[-1], [1], [-2]])) % p
+    idx.flags.writeable = False
+    return idx
+
+
 def lorenz96_rhs(x: np.ndarray, forcing: float) -> np.ndarray:
-    return np.roll(x, 1) * (np.roll(x, -1) - np.roll(x, 2)) - x + forcing
+    # one gather for all three neighbours: at p ~ 20 the cost of an RK4 step
+    # is numpy call overhead, not arithmetic
+    near = x[_l96_neighbours(x.shape[0])]
+    return near[0] * (near[1] - near[2]) - x + forcing
 
 
 def lorenz96_trajectory(x0: np.ndarray, forcing: float, dt: float, n_steps: int) -> np.ndarray:

@@ -324,6 +324,15 @@ class TestRun:
         assert (a / "lam0.001_seed0" / "gc_matrix.csv").read_bytes() == \
                (b / "lam0.001_seed0" / "gc_matrix.csv").read_bytes()
 
+    def test_seed_option_runs_that_seed_alone(self, tmp_path):
+        out = tmp_path / "run"
+        rc = main(["run", "--out", str(out), "--seed", "5", "--set", "run.seeds=[0,1]"]
+                  + FAST_VAR)
+        assert rc == 0
+        assert sorted(p.name for p in out.iterdir()) == ["lam0.001_seed5", "summary.json"]
+        summary = json.loads((out / "summary.json").read_text())
+        assert [r["seed"] for r in summary["runs"]] == [5]
+
     def test_bad_lambda_writes_nothing(self, tmp_path, capsys):
         out = tmp_path / "run"
         rc = main(["run", "--out", str(out), "--set", "run.seeds=[0]",

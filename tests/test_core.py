@@ -12,6 +12,7 @@ from grngc.core import (SCORE_CHUNK, LossGraph, TrainConfig,
                         TrainError, infer_gc_matrix, prediction_loss, train)
 from grngc.datagen import (TimeSeries, WindowedDataset, random_sparse_var1,
                            simulate_var)
+from grngc.kernels import keep_freed_memory
 from replay_reference import replay_loss, replay_scores
 
 
@@ -296,6 +297,19 @@ class TestGraphLifetime:
         graph = LossGraph(bb, ds, 1e-2)
         ops = {n.op for n in reachable([graph.loss, *de.backward(graph.loss, graph.params)])}
         assert ops == {"var", "const", "add", "einsum", "features"}
+
+
+class TestKeepFreedMemory:
+    def test_leaves_no_garbage(self):
+        # train() and infer_gc_matrix() call it; a reference cycle per call
+        # would wait for the cyclic collector
+        gc.collect()
+        gc.disable()
+        try:
+            keep_freed_memory()
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestReplayExactness:

@@ -7,6 +7,7 @@ from grngc.datagen import (DataError, Lorenz96Config, SimulationError, TimeSerie
                            random_sparse_var1, save_csv, simulate_lorenz96,
                            simulate_var, standardize)
 from grngc.kernels import lorenz96_rhs, lorenz96_trajectory
+from lorenz96_reference import roll_rhs, roll_trajectory
 
 
 class TestLorenz96:
@@ -49,6 +50,22 @@ class TestLorenz96:
         a, _ = simulate_lorenz96(cfg)
         b, _ = simulate_lorenz96(cfg)
         assert np.array_equal(a.data, b.data)
+
+    @pytest.mark.parametrize("p", [4, 5, 7, 30])
+    @pytest.mark.parametrize("dt", [0.01, 0.05], ids=["burn-in", "sample"])
+    def test_trajectory_bitwise_equal_to_roll_oracle(self, p, dt):
+        # 0.01 is the burn-in sub-step of the default dt=0.05
+        x0 = 10.0 + np.random.default_rng(p).normal(0.0, 0.01, p)
+        assert np.array_equal(lorenz96_rhs(x0, 10.0), roll_rhs(x0, 10.0))
+        assert np.array_equal(lorenz96_trajectory(x0, 10.0, dt, 500),
+                              roll_trajectory(x0, 10.0, dt, 500))
+
+    def test_simulation_bitwise_equal_to_roll_oracle(self, monkeypatch):
+        cfg = Lorenz96Config(p=20, T=300, burn_in=100, seed=3)
+        series, _ = simulate_lorenz96(cfg)
+        monkeypatch.setattr(dg, "lorenz96_trajectory", roll_trajectory)
+        expected, _ = simulate_lorenz96(cfg)
+        assert np.array_equal(series.data, expected.data)
 
     def test_small_p_rejected(self):
         with pytest.raises(DataError):
