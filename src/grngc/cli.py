@@ -177,8 +177,11 @@ def cmd_eval(gc_path, truth_path, mode: str, out: Path | None, delimiter: str) -
 
 def cmd_run(cfg: dict, out: Path) -> int:
     for key in ("seeds", "lams"):
-        if cfg["run"][key] == []:
+        values = cfg["run"][key]
+        if values == []:
             raise CliError(f"run.{key} must not be empty")
+        if values and len(set(values)) != len(values):  # 1 == 1.0: one lambda
+            raise CliError(f"run.{key} repeats a value: {values}")
     seeds, lams = cfg["run"]["seeds"], cfg["run"]["lams"] or [cfg["train"]["lam"]]
     mode = cfg["eval"]["mode"]
     base = TrainConfig(**cfg["train"])  # bad config or data fails before anything is written

@@ -13,8 +13,8 @@ import numpy as np
 from . import diffengine as de
 from .datagen import TimeSeries, WindowedDataset, make_windows, standardize
 from .forecasters import (KAN, MLP, Backbone, count_parameters, forward_graph,
-                          forward_jacobian, init_backbone, make_param_nodes,
-                          param_arrays, set_param_arrays)
+                          init_backbone, make_param_nodes, param_arrays,
+                          set_param_arrays)
 from .kernels import keep_freed_memory
 from .splines import SplineSpec
 
@@ -115,7 +115,7 @@ def _mse(pred: de.Node, targets: np.ndarray) -> de.Node:
 
 def prediction_loss(backbone: Backbone, dataset: WindowedDataset) -> de.Node:
     """Mean squared error of the one-step prediction over samples and outputs."""
-    pred = forward_graph(backbone, de.constant(dataset.inputs), make_param_nodes(backbone))
+    pred, _ = forward_graph(backbone, de.constant(dataset.inputs), make_param_nodes(backbone))
     return _mse(pred, dataset.targets)
 
 
@@ -127,18 +127,15 @@ class LossGraph:
 
     def __init__(self, backbone: Backbone, dataset: WindowedDataset, lam: float):
         self.params = make_param_nodes(backbone)
-        x = de.constant(dataset.inputs)
-        if lam > 0:
-            pred, jac = forward_jacobian(backbone, x, self.params)
+        pred, jac = forward_graph(backbone, de.constant(dataset.inputs), self.params, lam > 0)
+        self.loss = self.pred_loss = _mse(pred, dataset.targets)
+        self.sparsity = de.constant(0.0)
+        if jac is not None:
             # sum |J| = J . sign(J), the sign frozen: subgradient 0 at 0, no 2nd-order term
             sign = de.constant(np.sign(jac.value))
             weight = de.constant(lam / (dataset.n_samples * dataset.lag))
             self.sparsity = de.einsum(",->", weight, de.einsum("boi,boi->", jac, sign))
-        else:
-            pred = forward_graph(backbone, x, self.params)
-            self.sparsity = de.constant(0.0)
-        self.pred_loss = _mse(pred, dataset.targets)
-        self.loss = de.add(self.pred_loss, self.sparsity) if lam > 0 else self.pred_loss
+            self.loss = de.add(self.pred_loss, self.sparsity)
 
 
 def infer_gc_matrix(backbone: Backbone, dataset: WindowedDataset) -> GcMatrix:
@@ -147,10 +144,9 @@ def infer_gc_matrix(backbone: Backbone, dataset: WindowedDataset) -> GcMatrix:
     keep_freed_memory()
     params = [de.constant(a) for a in param_arrays(backbone)]
     total = np.zeros((backbone.output_dim, backbone.input_dim))
-    for start in range(0, dataset.n_samples, SCORE_CHUNK):
-        x = de.constant(dataset.inputs[start:start + SCORE_CHUNK])
+    for block in _batches(dataset, SCORE_CHUNK):
         # only this block's Jacobian array outlives the call, not its graph
-        jac = forward_jacobian(backbone, x, params)[1].value
+        jac = forward_graph(backbone, de.constant(block.inputs), params, jacobian=True)[1].value
         total += np.abs(jac, out=jac).sum(axis=0)
     per_lag = total.reshape(backbone.output_dim, dataset.lag, -1).sum(axis=1)
     return GcMatrix(per_lag / (dataset.n_samples * dataset.lag))

@@ -181,6 +181,8 @@ def random_sparse_var1(p: int, density: float, seed: int,
 
 
 def load_csv(path, has_header: bool = True, delimiter: str = ",") -> TimeSeries:
+    if not delimiter:
+        raise DataError(f"{path}: empty delimiter")
     with open(path) as fh:
         lines = [ln.rstrip("\n") for ln in fh if ln.strip() != ""]
     if not lines:

@@ -32,10 +32,6 @@ class NonScalarRoot(DiffError):
         super().__init__(f"backward root must be scalar, got shape {shape}")
 
 
-class NonFiniteValue(DiffError):
-    pass
-
-
 class Node:
     """A value in the differentiation graph.
 
@@ -143,29 +139,3 @@ def backward(root: Node, wrt: Sequence[Node]) -> list[Node]:
             prev = grads.get(id(parent))
             grads[id(parent)] = pg if prev is None else add(prev, pg)
     return [grads.get(id(w)) or constant(np.zeros(w.shape)) for w in wrt]
-
-
-def finite_difference(f: Callable[[np.ndarray], float], at, step: float = 1e-5) -> np.ndarray:
-    """Five-point central-difference gradient estimate of a scalar function;
-    test oracle. Its truncation error is O(step**4), so it is exact up to
-    rounding on polynomials of degree four or less: the three-point rule's
-    O(step**2) term swamps a gradient near a multiple root, such as that of
-    a**4 at small a."""
-    if step <= 0:
-        raise ValueError(f"step must be positive, got {step}")
-    at = np.asarray(at, dtype=np.float64)
-    grad = np.zeros_like(at)
-    flat = at.reshape(-1)
-    gflat = grad.reshape(-1)
-    for i in range(flat.size):
-        orig = flat[i]
-        vals = []
-        for k in (2, 1, -1, -2):
-            flat[i] = orig + k * step
-            vals.append(float(f(at)))
-        flat[i] = orig
-        if not np.all(np.isfinite(vals)):
-            raise NonFiniteValue(f"non-finite function value at coordinate {i}")
-        hi2, hi, lo, lo2 = vals
-        gflat[i] = (8.0 * (hi - lo) - (hi2 - lo2)) / (12.0 * step)
-    return grad

@@ -98,9 +98,12 @@ def make_param_nodes(backbone: Backbone) -> list[de.Node]:
     return [de.variable(a) for a in param_arrays(backbone)]
 
 
-def _layers(backbone: Backbone, x: de.Node, param_nodes: list[de.Node], jacobian: bool):
-    """Prediction, and with `jacobian` the per-sample input Jacobian
-    (batch, n_out, n_in) chained from the layer factors."""
+def forward_graph(backbone: Backbone, x: de.Node, param_nodes: list[de.Node],
+                  jacobian: bool = False):
+    """Prediction (batch, n_out) as a graph over the given input and parameter
+    nodes, and with `jacobian` the per-sample input Jacobian
+    J[b, o, i] = d pred[b, o] / d x[b, i] chained from the layer factors, as a
+    differentiable graph too; else None."""
     if x.value.ndim != 2 or x.shape[1] != backbone.input_dim:
         raise BackboneError(f"forward: window shape {x.shape} incompatible with "
                             f"input_dim {backbone.input_dim}")
@@ -145,21 +148,10 @@ def _layers(backbone: Backbone, x: de.Node, param_nodes: list[de.Node], jacobian
     return h, jac
 
 
-def forward_graph(backbone: Backbone, x: de.Node, param_nodes: list[de.Node]) -> de.Node:
-    """Forward pass as a graph over the given input and parameter nodes."""
-    return _layers(backbone, x, param_nodes, jacobian=False)[0]
-
-
-def forward_jacobian(backbone: Backbone, x: de.Node, param_nodes: list[de.Node]):
-    """Prediction (batch, n_out) and per-sample input Jacobian
-    J[b, o, i] = d pred[b, o] / d x[b, i], both as differentiable graphs."""
-    return _layers(backbone, x, param_nodes, jacobian=True)
-
-
 def forward(backbone: Backbone, windows: np.ndarray) -> np.ndarray:
     """Plain numeric prediction, shape (batch, p)."""
     x = de.constant(np.atleast_2d(np.asarray(windows, dtype=np.float64)))
-    return forward_graph(backbone, x, [de.constant(a) for a in param_arrays(backbone)]).value
+    return forward_graph(backbone, x, [de.constant(a) for a in param_arrays(backbone)])[0].value
 
 
 def count_parameters(backbone: Backbone) -> int:

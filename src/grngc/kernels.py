@@ -9,9 +9,11 @@ import numpy as np
 
 # looked up once: each ctypes.CDLL() builds a function-pointer class that sits
 # in a reference cycle until the cyclic collector runs
-_MALLOPT = getattr(ctypes.CDLL(None), "mallopt", None)
-if _MALLOPT is not None:
+try:
+    _MALLOPT = ctypes.CDLL(None).mallopt
     _MALLOPT.argtypes, _MALLOPT.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+except (AttributeError, OSError, TypeError):  # no mallopt; Windows has no CDLL(None)
+    _MALLOPT = None
 
 
 def backend_name() -> str:

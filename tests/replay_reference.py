@@ -18,7 +18,7 @@ def replay_rows(backbone, dataset):
     row_j[i] = mean over samples and lags of |d s_j / d x_(lag, i)|."""
     x = de.variable(dataset.inputs)
     params = fc.make_param_nodes(backbone)
-    pred = fc.forward_graph(backbone, x, params)
+    pred, _ = fc.forward_graph(backbone, x, params)
     n, p = pred.shape
     # window column l*p + i is series i at lag l; the mean over samples and lags
     lag_mean = de.constant(np.tile(np.eye(p), (dataset.lag, 1)) / (n * dataset.lag))

@@ -37,3 +37,26 @@ def test_called_names_resolve():
     graph = core.LossGraph(forecasters.init_backbone("kan", [6, 4, 3]), batch, 1e-3)
     for attr in ("loss", "params", "pred_loss", "sparsity"):
         assert hasattr(graph, attr), attr
+
+
+def test_step_clock_counts_each_optimisation_step():
+    """perfbench times a step from the LossGraph build to the parameter
+    write-back, takes the outer backward as the one train() calls directly,
+    and counts validation and scoring apart from the steps."""
+    tracing = load_tracing()
+    tracer = tracing.Tracer()
+    series = datagen.TimeSeries(np.random.default_rng(0).normal(size=(150, 3)))
+    # 148 windows, 14 of them for validation: 3 batches of at most 64 per epoch
+    cfg = core.TrainConfig(lag=2, hidden=(4,), batch_size=64, epochs=3)
+    with tracer.hooked(tracing.light_hooks() + tracing.layer_hooks()):
+        with tracer.span("core.train"):
+            report = core.train(series, cfg)
+    assert report.epochs_run == 3
+    spans = tracer.spans
+    steps = tracing.steps(spans, lambda s: True)
+    assert len(steps) == 3 * 3
+    assert all(outer is not None for _, outer, _ in steps)
+    names = [s[tracing.NAME] for s in spans]
+    assert names.count("core.val") == 3
+    (score,) = [s for s in spans if s[tracing.NAME] == "core.score"]
+    assert spans[score[tracing.PARENT]][tracing.NAME] == "core.train"

@@ -213,6 +213,17 @@ class TestInfer:
         assert rc == 0
         assert np.loadtxt(out / "gc_matrix.csv", delimiter=",", ndmin=2).shape == (3, 3)
 
+    def test_empty_delimiter_named_error(self, tmp_path, capsys):
+        sim = tmp_path / "sim"
+        main(["simulate", "--out", str(sim), "--set", "data.source=var",
+              "--set", "data.p=3", "--set", "data.T=120"])
+        out = tmp_path / "inf"
+        rc = main(["infer", "--out", str(out), "--set", f"data.series={sim / 'series.csv'}",
+                   "--set", 'data.delimiter=""'])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
     def test_csv_without_series_named_error(self, tmp_path, capsys):
         out = tmp_path / "x"
         rc = main(["infer", "--out", str(out), "--set", "data.source=csv"])
@@ -287,6 +298,16 @@ class TestEval:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and f"{which}.csv" in err
 
+    def test_empty_delimiter_named_error(self, tmp_path, capsys):
+        self.write(tmp_path / "gc.csv", np.eye(2))
+        self.write(tmp_path / "truth.csv", np.eye(2))
+        rc = main(["eval", str(tmp_path / "gc.csv"), str(tmp_path / "truth.csv"),
+                   "--delimiter", "", "--out", str(tmp_path / "m")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "truth.csv: empty delimiter" in err
+        assert not (tmp_path / "m").exists()
+
     def test_missing_file_fails(self, tmp_path, capsys):
         rc = main(["eval", str(tmp_path / "none.csv"), str(tmp_path / "none.csv")])
         assert rc != 0
@@ -347,6 +368,14 @@ class TestRun:
         rc = main(["run", "--out", str(out), "--set", f"{key}=[]"] + FAST_VAR)
         assert rc == 1
         assert f"{key} must not be empty" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("item", ["run.seeds=[0,1,0]", "run.lams=[1,0.001,1.0]"])
+    def test_repeated_sweep_value_named_error(self, tmp_path, capsys, item):
+        out = tmp_path / "run"
+        rc = main(["run", "--out", str(out), "--set", item] + FAST_VAR)
+        assert rc == 1
+        assert f"{item.split('=')[0]} repeats a value" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.fixture

@@ -1,12 +1,18 @@
 import dataclasses
 import gc
+import os
 import platform
 import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import grngc
 import grngc.diffengine as de
+from finite_difference import finite_difference
 from grngc import forecasters as fc
 from grngc.core import (SCORE_CHUNK, LossGraph, TrainConfig,
                         TrainError, infer_gc_matrix, prediction_loss, train)
@@ -61,7 +67,8 @@ class TestPredictionLoss:
 def jacobian(bb, inputs):
     """Prediction (n, n_out) and per-sample input Jacobian (n, n_out, n_in)."""
     params = [de.constant(a) for a in fc.param_arrays(bb)]
-    pred, jac = fc.forward_jacobian(bb, de.constant(np.asarray(inputs, dtype=float)), params)
+    pred, jac = fc.forward_graph(bb, de.constant(np.asarray(inputs, dtype=float)), params,
+                                 jacobian=True)
     return pred.value, jac.value
 
 
@@ -118,7 +125,7 @@ class TestInputGradientMatrix:
         def f(v):
             return float(fc.forward(bb, v).sum(axis=0)[0])
 
-        fd = de.finite_difference(f, inputs.copy(), step=1e-5)
+        fd = finite_difference(f, inputs.copy(), step=1e-5)
         assert np.max(np.abs(jac[:, 0, :] - fd)) / (np.max(np.abs(fd)) + 1e-12) < 1e-5
 
     @pytest.mark.parametrize("kind", ["kan", "mlp"])
@@ -129,8 +136,8 @@ class TestInputGradientMatrix:
         inputs = rng.uniform(-3.0, 3.0, (3, 4))
         _, jac = jacobian(bb, inputs)
         for o in range(2):
-            fd = de.finite_difference(lambda v: float(fc.forward(bb, v)[:, o].sum()),
-                                      inputs.copy(), step=1e-6)
+            fd = finite_difference(lambda v: float(fc.forward(bb, v)[:, o].sum()),
+                                   inputs.copy(), step=1e-6)
             assert np.max(np.abs(jac[:, o, :] - fd)) / (np.max(np.abs(fd)) + 1e-12) < 1e-5
 
 
@@ -185,7 +192,7 @@ class TestSparsityLoss:
             return float(LossGraph(bb2, ds, lam).sparsity.value)
 
         theta0 = np.concatenate([a.reshape(-1) for a in fc.param_arrays(bb)])
-        fd = de.finite_difference(f, theta0.copy(), step=1e-5)
+        fd = finite_difference(f, theta0.copy(), step=1e-5)
         assert np.max(np.abs(got - fd)) / (np.max(np.abs(fd)) + 1e-12) < 1e-4
 
 
@@ -310,6 +317,20 @@ class TestKeepFreedMemory:
             assert gc.collect() == 0
         finally:
             gc.enable()
+
+    @pytest.mark.parametrize("libc", [
+        # Windows: CDLL(None) evaluates '/' in None
+        "def CDLL(name):\n    raise TypeError('argument of type NoneType is not iterable')",
+        # macOS, musl: a C library without mallopt
+        "def CDLL(name):\n    return object()",
+    ], ids=["no-handle", "no-mallopt"])
+    def test_imports_and_no_op_off_glibc(self, libc):
+        code = "\n".join(["import ctypes", libc, "ctypes.CDLL = CDLL", "import grngc",
+                          "from grngc.kernels import keep_freed_memory", "keep_freed_memory()"])
+        env = {**os.environ, "PYTHONPATH": str(Path(grngc.__file__).parents[1])}
+        done = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert done.returncode == 0, done.stderr
 
 
 class TestReplayExactness:
