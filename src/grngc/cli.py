@@ -15,11 +15,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .core import GcMatrix, TrainConfig, TrainError, train
+from .core import GcMatrix, TrainConfig, TrainError, TrainReport, train
 from .datagen import (AdjacencyTruth, DataError, Lorenz96Config, SimulationError,
-                      TimeSeries, load_csv, random_sparse_var1, save_csv,
+                      TimeSeries, load_csv, parse_csv, random_sparse_var1, save_csv,
                       simulate_lorenz96, simulate_var)
-from .metrics import FULL, MODES, MetricError, evaluate, write_metrics
+from .metrics import FULL, MODES, MetricError, evaluate
 
 
 def _defaults(cls) -> dict:
@@ -32,12 +32,12 @@ _L96 = _defaults(Lorenz96Config)
 
 DEFAULT_CONFIG = {
     "data": {
-        "source": "lorenz96",      # lorenz96 | var | csv
+        "source": "lorenz96",      # lorenz96 | var; unused if data.series is set
         "seed": 0,
         **_L96,                    # lorenz96; p and T serve var too
         # var
         "density": 0.3, "noise_sigma": 0.1, "radius": 0.45,
-        # csv
+        # files to read in place of simulating
         "series": None, "truth": None, "has_header": True, "delimiter": ",",
     },
     "train": _defaults(TrainConfig),  # the seed comes from data.seed or run.seeds
@@ -64,7 +64,7 @@ def _flatten(doc, prefix: str = "") -> dict:
 _FIELDS = _flatten(DEFAULT_CONFIG)
 # a value of the type of each key that defaults to None (None stays valid)
 _NULLABLE = {"data.series": "", "data.truth": "", "run.lams": [0.0]}
-_CHOICES = {"data.source": ("lorenz96", "var", "csv"), "eval.mode": MODES}
+_CHOICES = {"data.source": ("lorenz96", "var"), "eval.mode": MODES}
 
 
 def _wrong_type(value, like) -> bool:
@@ -119,8 +119,43 @@ def load_config(path: str | None, overrides) -> dict:
     return cfg
 
 
+def read_matrix(path, delimiter: str = ",") -> np.ndarray:
+    """A headerless square matrix file of finite numbers: scores or truth."""
+    matrix, _ = parse_csv(path, False, delimiter)
+    if matrix.shape[0] != matrix.shape[1]:
+        raise CliError(f"{path}: matrix must be square, got {matrix.shape}")
+    if not np.all(np.isfinite(matrix)):
+        raise CliError(f"{path}: matrix contains non-finite values")
+    return matrix
+
+
+def read_truth(path, delimiter: str = ",") -> AdjacencyTruth:
+    """A truth file: nonzero cells are edges."""
+    return AdjacencyTruth(read_matrix(path, delimiter) != 0)
+
+
+def write_outputs(out: Path, series: TimeSeries | None = None,
+                  truth: AdjacencyTruth | None = None, report: TrainReport | None = None,
+                  **docs) -> None:
+    """Write what a command produced to directory `out`: series.csv and
+    truth.csv; gc_matrix.csv and train_report.json from a TrainReport (its
+    plain fields); and NAME.json for each further keyword, e.g. metrics."""
+    out.mkdir(parents=True, exist_ok=True)
+    if series is not None:
+        save_csv(series, out / "series.csv")
+    if truth is not None:
+        np.savetxt(out / "truth.csv", truth.matrix, fmt="%d", delimiter=",")
+    if report is not None:
+        np.savetxt(out / "gc_matrix.csv", report.gc.scores, fmt="%.17g", delimiter=",")
+        docs["train_report"] = {f.name: getattr(report, f.name) for f in dataclasses.fields(report)
+                                if f.name not in ("gc", "backbone")}
+    for name, doc in docs.items():
+        with open(out / f"{name}.json", "w") as fh:
+            json.dump(doc, fh, indent=2)
+
+
 def make_data(cfg: dict, seed: int) -> tuple[TimeSeries, AdjacencyTruth | None]:
-    """Read data.series (and data.truth) if set, whatever the source; else simulate."""
+    """Read data.series, and data.truth if set; without data.series, simulate data.source."""
     d = cfg["data"]
     if seed < 0:
         raise CliError(f"seed must be >= 0, got {seed}")
@@ -130,12 +165,10 @@ def make_data(cfg: dict, seed: int) -> tuple[TimeSeries, AdjacencyTruth | None]:
         series = load_csv(d["series"], d["has_header"], d["delimiter"])
         if not d["truth"]:
             return series, None
-        truth = AdjacencyTruth(load_csv(d["truth"], False, d["delimiter"]).data != 0)
+        truth = read_truth(d["truth"], d["delimiter"])
         if truth.matrix.shape[0] != series.p:
             raise CliError(f"{d['truth']}: {truth.matrix.shape} truth for {series.p} series")
         return series, truth
-    if d["source"] == "csv":
-        raise CliError("data.source=csv requires data.series")
     if d["source"] == "var":
         coeffs = random_sparse_var1(d["p"], d["density"], seed, d["radius"])
         return simulate_var([coeffs], d["T"], d["noise_sigma"], seed)
@@ -144,10 +177,7 @@ def make_data(cfg: dict, seed: int) -> tuple[TimeSeries, AdjacencyTruth | None]:
 
 def cmd_simulate(cfg: dict, out: Path, seed: int) -> int:
     series, truth = make_data(cfg, seed)
-    out.mkdir(parents=True, exist_ok=True)
-    save_csv(series, out / "series.csv")
-    if truth is not None:
-        np.savetxt(out / "truth.csv", truth.matrix, fmt="%d", delimiter=",")
+    write_outputs(out, series, truth)
     print(f"wrote {out / 'series.csv'} ({series.T} rows, {series.p} columns)")
     return 0
 
@@ -156,22 +186,18 @@ def cmd_infer(cfg: dict, out: Path, seed: int) -> int:
     tcfg = TrainConfig(**cfg["train"], seed=seed)
     series, _ = make_data(cfg, seed)
     report = train(series, tcfg)
-    out.mkdir(parents=True, exist_ok=True)
-    report.gc.to_csv(out / "gc_matrix.csv")
-    report.to_json(out / "train_report.json")
+    write_outputs(out, report=report)
     print(f"wrote {out / 'gc_matrix.csv'} "
           f"({report.epochs_run} epochs, {report.seconds:.1f}s)")
     return 0
 
 
 def cmd_eval(gc_path, truth_path, mode: str, out: Path | None, delimiter: str) -> int:
-    gc = GcMatrix(load_csv(gc_path, False).data)
-    truth = load_csv(truth_path, False, delimiter).data
-    metrics = evaluate(gc.scores, truth != 0, mode)
+    gc = GcMatrix(read_matrix(gc_path))
+    metrics = evaluate(gc.scores, read_truth(truth_path, delimiter).matrix, mode)
     print(json.dumps(metrics, indent=2))
     if out is not None:
-        out.mkdir(parents=True, exist_ok=True)
-        write_metrics(metrics, out / "metrics.json")
+        write_outputs(out, metrics=metrics)
     return 0
 
 
@@ -187,23 +213,18 @@ def cmd_run(cfg: dict, out: Path) -> int:
     base = TrainConfig(**cfg["train"])  # bad config or data fails before anything is written
     configs = [(lam, seed, dataclasses.replace(base, seed=seed, lam=lam))
                for lam in lams for seed in seeds]
-    d = cfg["data"]
-    if (d["series"] or d["source"] == "csv") and not d["truth"]:
+    if cfg["data"]["series"] and not cfg["data"]["truth"]:
         raise CliError("run needs ground truth (simulator source or data.truth)")
     data = {seed: make_data(cfg, seed) for seed in seeds}
-    out.mkdir(parents=True, exist_ok=True)
+    for _, truth in data.values():  # a truth with one class fails here, not after training
+        evaluate(np.zeros(truth.matrix.shape), truth.matrix, mode)
     results = []
     for lam, seed, tcfg in configs:
-        sub = out / f"lam{lam}_seed{seed}"
-        sub.mkdir(parents=True, exist_ok=True)
+        # a combination is written only once it trained and evaluated
         series, truth = data[seed]
-        save_csv(series, sub / "series.csv")
-        np.savetxt(sub / "truth.csv", truth.matrix, fmt="%d", delimiter=",")
         report = train(series, tcfg)
-        report.gc.to_csv(sub / "gc_matrix.csv")
-        report.to_json(sub / "train_report.json")
         metrics = evaluate(report.gc.scores, truth.matrix, mode)
-        write_metrics(metrics, sub / "metrics.json")
+        write_outputs(out / f"lam{lam}_seed{seed}", series, truth, report, metrics=metrics)
         results.append({"lam": lam, "seed": seed, **metrics,
                         "seconds": report.seconds, "epochs": report.epochs_run})
         print(f"lam={lam:g} seed={seed}: auroc={metrics['auroc']:.3f} "
@@ -219,8 +240,7 @@ def cmd_run(cfg: dict, out: Path) -> int:
         }
         print(f"lam={lam:g}: AUROC {au.mean():.3f}+-{au.std():.3f}  "
               f"AUPRC {ap.mean():.3f}+-{ap.std():.3f}")
-    with open(out / "summary.json", "w") as fh:
-        json.dump(summary, fh, indent=2)
+    write_outputs(out, summary=summary)
     return 0
 
 

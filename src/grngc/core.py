@@ -4,7 +4,6 @@ training, and the causal scores read off the same Jacobian."""
 from __future__ import annotations
 
 import dataclasses
-import json
 import time
 from dataclasses import dataclass, field
 
@@ -34,9 +33,6 @@ class GcMatrix:
         self.scores = np.asarray(self.scores, dtype=np.float64)
         if not np.all(np.isfinite(self.scores)) or np.any(self.scores < 0):
             raise TrainError("causal scores must be finite and non-negative")
-
-    def to_csv(self, path) -> None:
-        np.savetxt(path, self.scores, fmt="%.17g", delimiter=",")
 
 
 @dataclass
@@ -90,18 +86,6 @@ class TrainReport:
     epochs_run: int = 0
     config: dict = field(default_factory=dict)
     backbone: Backbone | None = None
-
-    def to_json(self, path) -> None:
-        doc = {
-            "pred_losses": self.pred_losses,
-            "sparsity_losses": self.sparsity_losses,
-            "seconds": self.seconds,
-            "n_params": self.n_params,
-            "epochs_run": self.epochs_run,
-            "config": self.config,
-        }
-        with open(path, "w") as fh:
-            json.dump(doc, fh, indent=2)
 
 
 # windows per Jacobian block when scoring; bounds the memory of the layer factors

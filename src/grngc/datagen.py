@@ -7,7 +7,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
-from .kernels import lorenz96_trajectory
+from .kernels import _l96_neighbours, lorenz96_trajectory
 
 
 class DataError(Exception):
@@ -86,11 +86,10 @@ class Lorenz96Config:
 
 
 def lorenz96_truth(p: int) -> AdjacencyTruth:
-    """Variable i is driven by i-2, i-1, itself, and i+1 (cyclic)."""
-    m = np.zeros((p, p), dtype=bool)
-    for i in range(p):
-        for s in (i - 2, i - 1, i, i + 1):
-            m[i, s % p] = True
+    """Variable i is driven by itself and by the neighbours that
+    lorenz96_rhs reads: i-1, i+1 and i-2 (cyclic)."""
+    m = np.eye(p, dtype=bool)
+    m[np.arange(p), _l96_neighbours(p)] = True
     return AdjacencyTruth(m)
 
 
@@ -176,11 +175,13 @@ def random_sparse_var1(p: int, density: float, seed: int,
     mask = rng.random((p, p)) < density
     np.fill_diagonal(mask, True)
     a[mask] = rng.uniform(0.3, 1.0, int(mask.sum())) * rng.choice([-1.0, 1.0], int(mask.sum()))
-    r = np.max(np.abs(np.linalg.eigvals(a)))
-    return a * (radius / r)
+    return a * (radius / _companion_spectral_radius([a]))
 
 
-def load_csv(path, has_header: bool = True, delimiter: str = ",") -> TimeSeries:
+def parse_csv(path, has_header: bool = True,
+              delimiter: str = ",") -> tuple[np.ndarray, list[str] | None]:
+    """The numeric cells of a delimited text file as a 2-D array, with the
+    header's column names if it has one; no check of the values."""
     if not delimiter:
         raise DataError(f"{path}: empty delimiter")
     with open(path) as fh:
@@ -209,7 +210,11 @@ def load_csv(path, has_header: bool = True, delimiter: str = ",") -> TimeSeries:
         rows.append(vals)
     if not rows:
         raise DataError(f"{path}: no data rows")
-    return TimeSeries(np.array(rows), names)
+    return np.array(rows), names
+
+
+def load_csv(path, has_header: bool = True, delimiter: str = ",") -> TimeSeries:
+    return TimeSeries(*parse_csv(path, has_header, delimiter))
 
 
 def save_csv(series: TimeSeries, path) -> None:

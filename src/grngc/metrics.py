@@ -5,7 +5,6 @@ probability with a tie counted as half a win, and AUPRC is the average
 precision with each tie group one threshold step."""
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 import numpy as np
@@ -88,8 +87,3 @@ def evaluate(gc_scores: np.ndarray, truth: np.ndarray, mode: str = FULL) -> dict
         "n_edges": int(pairs.scores.size),
         "mode": mode,
     }
-
-
-def write_metrics(metrics: dict, path) -> None:
-    with open(path, "w") as fh:
-        json.dump(metrics, fh, indent=2)

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from grngc import cli
 from grngc.cli import DEFAULT_CONFIG, CliError, load_config, main
 
 FAST_VAR = [
@@ -105,7 +106,7 @@ class TestConfig:
 
     @pytest.mark.parametrize("item,message", [
         ("eval.mode=diag", "'eval.mode' must be one of full, off_diagonal"),
-        ("data.source=sine", "'data.source' must be one of lorenz96, var, csv"),
+        ("data.source=sine", "'data.source' must be one of lorenz96, var, got"),
         ("data.p=3", "p >= 4"),
     ], ids=["eval.mode", "data.source", "data.p"])
     def test_bad_value_writes_nothing(self, tmp_path, capsys, item, message):
@@ -206,7 +207,6 @@ class TestInfer:
               "--set", "data.p=3", "--set", "data.T=120"])
         out = tmp_path / "inf"
         rc = main(["infer", "--out", str(out),
-                   "--set", "data.source=csv",
                    "--set", f"data.series={sim / 'series.csv'}",
                    "--set", "train.lag=2", "--set", "train.epochs=2",
                    "--set", "train.hidden=[8]"])
@@ -228,12 +228,11 @@ class TestInfer:
         out = tmp_path / "x"
         rc = main(["infer", "--out", str(out), "--set", "data.source=csv"])
         assert rc == 1
-        assert "data.source=csv requires data.series" in capsys.readouterr().err
+        assert "'data.source' must be one of lorenz96, var, got 'csv'" in capsys.readouterr().err
         assert not out.exists()
 
     def test_missing_csv_names_path(self, tmp_path, capsys):
         rc = main(["infer", "--out", str(tmp_path / "x"),
-                   "--set", "data.source=csv",
                    "--set", "data.series=/nonexistent/file.csv"])
         assert rc != 0
         assert "/nonexistent/file.csv" in capsys.readouterr().err
@@ -307,6 +306,38 @@ class TestEval:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "truth.csv: empty delimiter" in err
         assert not (tmp_path / "m").exists()
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("which", ["gc", "truth"])
+    def test_non_finite_matrix_named_error(self, tmp_path, capsys, which, value):
+        self.write(tmp_path / "gc.csv", np.eye(2))
+        self.write(tmp_path / "truth.csv", np.eye(2))
+        (tmp_path / f"{which}.csv").write_text(f"1,0\n{value},1\n")
+        rc = main(["eval", str(tmp_path / "gc.csv"), str(tmp_path / "truth.csv"),
+                   "--out", str(tmp_path / "m")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"{which}.csv: matrix contains non-finite" in err
+        assert not (tmp_path / "m").exists()
+
+    @pytest.mark.parametrize("which", ["gc", "truth"])
+    def test_non_square_matrix_named_error(self, tmp_path, capsys, which):
+        self.write(tmp_path / "gc.csv", np.eye(2))
+        self.write(tmp_path / "truth.csv", np.eye(2))
+        self.write(tmp_path / f"{which}.csv", np.ones((2, 3)))
+        rc = main(["eval", str(tmp_path / "gc.csv"), str(tmp_path / "truth.csv")])
+        assert rc == 1
+        assert f"{which}.csv: matrix must be square, got (2, 3)" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("truth_size,message", [(1, "AUROC needs both classes"),
+                                                    (2, "shape mismatch")],
+                             ids=["1x1 truth", "2x2 truth"])
+    def test_one_by_one_scores_read_as_matrix(self, tmp_path, capsys, truth_size, message):
+        self.write(tmp_path / "gc.csv", np.ones((1, 1)))
+        self.write(tmp_path / "truth.csv", np.eye(truth_size))
+        rc = main(["eval", str(tmp_path / "gc.csv"), str(tmp_path / "truth.csv")])
+        assert rc == 1
+        assert message in capsys.readouterr().err
 
     def test_missing_file_fails(self, tmp_path, capsys):
         rc = main(["eval", str(tmp_path / "none.csv"), str(tmp_path / "none.csv")])
@@ -411,7 +442,7 @@ class TestRun:
 
     def test_csv_without_truth_fails_before_training(self, tmp_path, capsys, var3):
         out = tmp_path / "run"
-        rc = self.run_on(out, "data.source=csv", f"data.series={var3 / 'series.csv'}")
+        rc = self.run_on(out, f"data.series={var3 / 'series.csv'}")
         assert rc == 1
         assert "ground truth" in capsys.readouterr().err
         assert not out.exists()
@@ -421,4 +452,50 @@ class TestRun:
         rc = self.run_on(out, "data.source=lorenz96", f"data.series={var3 / 'series.csv'}")
         assert rc == 1
         assert "ground truth" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("command", ["infer", "run"])
+    def test_non_finite_truth_file_named_error(self, tmp_path, capsys, var3, command):
+        (tmp_path / "truth.csv").write_text("1,0,0\n0,nan,0\n0,0,1\n")
+        out = tmp_path / "out"
+        rc = main([command, "--out", str(out), "--set", f"data.series={var3 / 'series.csv'}",
+                   "--set", f"data.truth={tmp_path / 'truth.csv'}", "--set", "train.epochs=1"])
+        assert rc == 1
+        assert "truth.csv: matrix contains non-finite values" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_too_short_series_writes_nothing(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        rc = main(["run", "--out", str(out), "--set", "data.T=12", "--set", "run.seeds=[0]"])
+        assert rc == 1
+        assert "need T > lag + 10" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_constant_column_writes_nothing(self, tmp_path, capsys, var3):
+        series = np.loadtxt(var3 / "series.csv", delimiter=",", skiprows=1)
+        series[:, 1] = 2.5
+        np.savetxt(tmp_path / "series.csv", series, delimiter=",", header="a,b,c", comments="")
+        out = tmp_path / "run"
+        rc = self.run_on(out, f"data.series={tmp_path / 'series.csv'}",
+                         f"data.truth={var3 / 'truth.csv'}")
+        assert rc == 1
+        assert "zero-variance column 1" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("items", [
+        ["data.series=SERIES", "data.truth=ZERO_TRUTH"],
+        ["data.source=var", "data.p=1", "data.T=100"],
+        ["data.source=var", "data.p=2", "data.T=100", "data.density=0",
+         "eval.mode=off_diagonal"],
+    ], ids=["all-zero data.truth", "var p=1", "var p=2 density=0 off_diagonal"])
+    def test_one_class_truth_fails_before_training(self, tmp_path, capsys, monkeypatch,
+                                                   var3, items):
+        (tmp_path / "zero.csv").write_text("0,0,0\n0,0,0\n0,0,0\n")
+        items = [i.replace("SERIES", str(var3 / "series.csv"))
+                  .replace("ZERO_TRUTH", str(tmp_path / "zero.csv")) for i in items]
+        monkeypatch.setattr(cli, "train", lambda *a: pytest.fail("trained a one-class truth"))
+        out = tmp_path / "run"
+        rc = self.run_on(out, *items)
+        assert rc == 1
+        assert "error: AUROC needs both classes" in capsys.readouterr().err
         assert not out.exists()

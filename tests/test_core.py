@@ -1,5 +1,6 @@
 import dataclasses
 import gc
+import json
 import os
 import platform
 import resource
@@ -14,6 +15,7 @@ import grngc
 import grngc.diffengine as de
 from finite_difference import finite_difference
 from grngc import forecasters as fc
+from grngc.cli import write_outputs
 from grngc.core import (SCORE_CHUNK, LossGraph, TrainConfig,
                         TrainError, infer_gc_matrix, prediction_loss, train)
 from grngc.datagen import (TimeSeries, WindowedDataset, random_sparse_var1,
@@ -476,8 +478,11 @@ class TestTrain:
         rng = np.random.default_rng(3)
         series = TimeSeries(rng.normal(size=(120, 2)))
         rep = train(series, TrainConfig(lag=2, epochs=2, hidden=(8,), seed=0))
-        rep.to_json(tmp_path / "report.json")
-        rep.gc.to_csv(tmp_path / "gc.csv")
-        loaded = np.loadtxt(tmp_path / "gc.csv", delimiter=",", ndmin=2)
+        write_outputs(tmp_path, report=rep)
+        loaded = np.loadtxt(tmp_path / "gc_matrix.csv", delimiter=",", ndmin=2)
         assert np.array_equal(loaded, rep.gc.scores)
         assert rep.config == dataclasses.asdict(TrainConfig(lag=2, epochs=2, hidden=(8,), seed=0))
+        doc = json.loads((tmp_path / "train_report.json").read_text())
+        assert list(doc) == ["pred_losses", "sparsity_losses", "seconds", "n_params",
+                             "epochs_run", "config"]
+        assert doc["config"] == json.loads(json.dumps(rep.config))

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from finite_difference import finite_difference
 from grngc import datagen as dg
 from grngc.datagen import (DataError, Lorenz96Config, SimulationError, TimeSeries,
                            load_csv, lorenz96_truth, make_windows,
@@ -21,6 +22,13 @@ class TestLorenz96:
     def test_truth_stencil_p6(self):
         truth = lorenz96_truth(6)
         assert set(np.flatnonzero(truth.matrix[0])) == {4, 5, 0, 1}
+
+    @pytest.mark.parametrize("p", [4, 5, 7, 30])
+    def test_truth_is_rhs_jacobian_pattern(self, p):
+        x = np.random.default_rng(p).normal(0.0, 3.0, p)
+        jac = np.array([finite_difference(lambda z: lorenz96_rhs(z, 8.0)[j], x.copy())
+                        for j in range(p)])
+        assert np.array_equal(lorenz96_truth(p).matrix, np.abs(jac) > 1e-6)
 
     def test_truth_four_parents_per_row(self):
         for p in (5, 7, 10, 23):

@@ -5,8 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from grngc.cli import write_outputs
 from grngc.metrics import (EdgeScorePairs, MetricError, auprc, auroc,
-                           evaluate, flatten, write_metrics)
+                           evaluate, flatten)
 
 
 def auroc_pairwise(scores, labels):
@@ -228,5 +229,5 @@ class TestEvaluate:
     def test_write_roundtrip(self, tmp_path):
         out = evaluate(np.array([[0.9, 0.1], [0.2, 0.8]]), np.eye(2, dtype=bool))
         path = tmp_path / "metrics.json"
-        write_metrics(out, path)
+        write_outputs(tmp_path, metrics=out)
         assert json.loads(path.read_text()) == out
