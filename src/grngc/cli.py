@@ -10,15 +10,15 @@ import argparse
 import copy
 import dataclasses
 import json
+import math
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from .core import GcMatrix, TrainConfig, TrainError, TrainReport, train
+from .core import TrainConfig, TrainError, TrainReport, train
 from .datagen import (AdjacencyTruth, DataError, Lorenz96Config, SimulationError,
-                      TimeSeries, load_csv, parse_csv, random_sparse_var1, save_csv,
-                      simulate_lorenz96, simulate_var)
+                      TimeSeries, random_sparse_var1, simulate_lorenz96, simulate_var)
 from .metrics import FULL, MODES, MetricError, evaluate
 
 
@@ -69,16 +69,19 @@ _CHOICES = {"data.source": ("lorenz96", "var"), "eval.mode": MODES}
 
 def _wrong_type(value, like) -> bool:
     """Whether a JSON value lacks the type of `like`. An int passes for a
-    float; list elements are checked against like's first element."""
+    float, NaN and infinities do not; list elements are checked against
+    like's first element."""
     if isinstance(like, list):
         return not isinstance(value, list) or any(_wrong_type(v, like[0]) for v in value)
     if type(like) is float:
-        return type(value) not in (int, float)
+        return type(value) not in (int, float) or not math.isfinite(value)
     return type(value) is not type(like)
 
 
 def _type_name(like) -> str:
-    return f"a list of {_type_name(like[0])}" if isinstance(like, list) else type(like).__name__
+    if isinstance(like, list):
+        return f"a list of {_type_name(like[0])}"
+    return "finite float" if type(like) is float else type(like).__name__
 
 
 def load_config(path: str | None, overrides) -> dict:
@@ -119,13 +122,43 @@ def load_config(path: str | None, overrides) -> dict:
     return cfg
 
 
+def _read_csv(path, has_header: bool, delimiter: str) -> tuple[np.ndarray, list[str] | None]:
+    """The cells of a delimited text file as a 2-D array of finite numbers,
+    with the header's column names if it has one. Every file the CLI reads
+    goes through here; a bad cell is named by file, row and column."""
+    if not delimiter:
+        raise CliError(f"{path}: empty delimiter")
+    with open(path) as fh:
+        lines = [ln.rstrip("\n") for ln in fh if ln.strip() != ""]
+    if not lines:
+        raise CliError(f"{path}: empty file")
+    start = int(has_header)
+    if len(lines) == start:
+        raise CliError(f"{path}: no data rows")
+    names = [c.strip() for c in lines[0].split(delimiter)] if has_header else None
+    width = len(lines[0].split(delimiter))  # a header must match the data too
+    rows = []
+    for r, ln in enumerate(lines[start:], start=start):
+        cells = ln.split(delimiter)
+        if len(cells) != width:
+            raise CliError(f"{path}: row {r} has {len(cells)} columns, expected {width}")
+        vals = []
+        for c, cell in enumerate(cells):
+            try:
+                vals.append(float(cell))
+            except ValueError:
+                raise CliError(f"{path}: non-numeric cell at row {r}, column {c}: {cell!r}")
+            if not math.isfinite(vals[-1]):
+                raise CliError(f"{path}: non-finite cell at row {r}, column {c}: {cell!r}")
+        rows.append(vals)
+    return np.array(rows), names
+
+
 def read_matrix(path, delimiter: str = ",") -> np.ndarray:
     """A headerless square matrix file of finite numbers: scores or truth."""
-    matrix, _ = parse_csv(path, False, delimiter)
+    matrix, _ = _read_csv(path, False, delimiter)
     if matrix.shape[0] != matrix.shape[1]:
         raise CliError(f"{path}: matrix must be square, got {matrix.shape}")
-    if not np.all(np.isfinite(matrix)):
-        raise CliError(f"{path}: matrix contains non-finite values")
     return matrix
 
 
@@ -141,8 +174,10 @@ def write_outputs(out: Path, series: TimeSeries | None = None,
     truth.csv; gc_matrix.csv and train_report.json from a TrainReport (its
     plain fields); and NAME.json for each further keyword, e.g. metrics."""
     out.mkdir(parents=True, exist_ok=True)
-    if series is not None:
-        save_csv(series, out / "series.csv")
+    if series is not None:  # 17 significant digits, so re-reading is exact
+        names = series.names or [f"x{i}" for i in range(series.p)]
+        np.savetxt(out / "series.csv", series.data, fmt="%.17g", delimiter=",",
+                   header=",".join(names), comments="")
     if truth is not None:
         np.savetxt(out / "truth.csv", truth.matrix, fmt="%d", delimiter=",")
     if report is not None:
@@ -162,7 +197,7 @@ def make_data(cfg: dict, seed: int) -> tuple[TimeSeries, AdjacencyTruth | None]:
     if d["truth"] and not d["series"]:
         raise CliError("data.truth requires data.series")
     if d["series"]:
-        series = load_csv(d["series"], d["has_header"], d["delimiter"])
+        series = TimeSeries(*_read_csv(d["series"], d["has_header"], d["delimiter"]))
         if not d["truth"]:
             return series, None
         truth = read_truth(d["truth"], d["delimiter"])
@@ -193,8 +228,10 @@ def cmd_infer(cfg: dict, out: Path, seed: int) -> int:
 
 
 def cmd_eval(gc_path, truth_path, mode: str, out: Path | None, delimiter: str) -> int:
-    gc = GcMatrix(read_matrix(gc_path))
-    metrics = evaluate(gc.scores, read_truth(truth_path, delimiter).matrix, mode)
+    scores = read_matrix(gc_path)
+    if np.any(scores < 0):
+        raise CliError(f"{gc_path}: scores must be non-negative")
+    metrics = evaluate(scores, read_truth(truth_path, delimiter).matrix, mode)
     print(json.dumps(metrics, indent=2))
     if out is not None:
         write_outputs(out, metrics=metrics)

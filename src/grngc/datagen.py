@@ -1,5 +1,5 @@
-"""Synthetic generators (Lorenz-96, linear VAR), CSV ingestion,
-standardization, and sliding-window construction."""
+"""Synthetic generators (Lorenz-96, linear VAR), standardization, and
+sliding-window construction."""
 from __future__ import annotations
 
 from dataclasses import dataclass
@@ -69,6 +69,11 @@ class WindowedDataset:
         return self.targets.shape[1]
 
 
+# largest RK4 step that survives the transient from the x0 ~ F start at
+# strong forcing (F=40); on-attractor dynamics tolerate coarser steps
+_BURN_IN_MAX_STEP = 0.01
+
+
 @dataclass
 class Lorenz96Config:
     p: int = 10
@@ -83,6 +88,9 @@ class Lorenz96Config:
             raise DataError(f"Lorenz-96 stencil needs p >= 4, got {self.p}")
         if self.dt <= 0 or self.forcing <= 0 or self.T < 2 or self.burn_in < 0:
             raise DataError("need dt > 0, forcing > 0, T >= 2, burn_in >= 0")
+        if not np.isfinite(self.dt / _BURN_IN_MAX_STEP):
+            raise DataError(f"dt={self.dt} overflows the burn-in sub-step count "
+                            f"dt / {_BURN_IN_MAX_STEP}")
 
 
 def lorenz96_truth(p: int) -> AdjacencyTruth:
@@ -91,11 +99,6 @@ def lorenz96_truth(p: int) -> AdjacencyTruth:
     m = np.eye(p, dtype=bool)
     m[np.arange(p), _l96_neighbours(p)] = True
     return AdjacencyTruth(m)
-
-
-# largest RK4 step that survives the transient from the x0 ~ F start at
-# strong forcing (F=40); on-attractor dynamics tolerate coarser steps
-_BURN_IN_MAX_STEP = 0.01
 
 
 def simulate_lorenz96(cfg: Lorenz96Config) -> tuple[TimeSeries, AdjacencyTruth]:
@@ -127,8 +130,8 @@ def _companion_spectral_radius(coeffs: list[np.ndarray]) -> float:
     return float(np.max(np.abs(np.linalg.eigvals(comp))))
 
 
-def simulate_var(coeffs, T: int, noise_sigma: float = 0.1, seed: int = 0,
-                 x0: np.ndarray | None = None) -> tuple[TimeSeries, AdjacencyTruth]:
+def simulate_var(coeffs, T: int, noise_sigma: float = 0.1,
+                 seed: int = 0) -> tuple[TimeSeries, AdjacencyTruth]:
     """Linear VAR: x_t = sum_l A_l x_{t-l} + eps.
 
     Truth edge (j, i) is set iff any lag coefficient A_l[j, i] is nonzero.
@@ -145,12 +148,11 @@ def simulate_var(coeffs, T: int, noise_sigma: float = 0.1, seed: int = 0,
     L = len(coeffs)
     if T <= L:
         raise DataError(f"VAR({L}) needs T > {L}, got T={T}")
+    if noise_sigma < 0:
+        raise DataError(f"VAR needs noise_sigma >= 0, got {noise_sigma}")
     rng = np.random.default_rng(seed)
     data = np.zeros((T, p))
-    if x0 is not None:
-        data[:L] = np.asarray(x0, dtype=np.float64)
-    else:
-        data[:L] = rng.normal(0.0, max(noise_sigma, 1e-8), (L, p))
+    data[:L] = rng.normal(0.0, max(noise_sigma, 1e-8), (L, p))
     for t in range(L, T):
         acc = np.zeros(p)
         for l, a in enumerate(coeffs, start=1):
@@ -176,52 +178,6 @@ def random_sparse_var1(p: int, density: float, seed: int,
     np.fill_diagonal(mask, True)
     a[mask] = rng.uniform(0.3, 1.0, int(mask.sum())) * rng.choice([-1.0, 1.0], int(mask.sum()))
     return a * (radius / _companion_spectral_radius([a]))
-
-
-def parse_csv(path, has_header: bool = True,
-              delimiter: str = ",") -> tuple[np.ndarray, list[str] | None]:
-    """The numeric cells of a delimited text file as a 2-D array, with the
-    header's column names if it has one; no check of the values."""
-    if not delimiter:
-        raise DataError(f"{path}: empty delimiter")
-    with open(path) as fh:
-        lines = [ln.rstrip("\n") for ln in fh if ln.strip() != ""]
-    if not lines:
-        raise DataError(f"{path}: empty file")
-    names = None
-    start = 0
-    if has_header:
-        names = [c.strip() for c in lines[0].split(delimiter)]
-        start = 1
-    rows = []
-    width = None
-    for r, ln in enumerate(lines[start:], start=start):
-        cells = ln.split(delimiter)
-        if width is None:
-            width = len(cells)
-        elif len(cells) != width:
-            raise DataError(f"{path}: row {r} has {len(cells)} columns, expected {width}")
-        vals = []
-        for c, cell in enumerate(cells):
-            try:
-                vals.append(float(cell))
-            except ValueError:
-                raise DataError(f"{path}: non-numeric cell at row {r}, column {c}: {cell!r}")
-        rows.append(vals)
-    if not rows:
-        raise DataError(f"{path}: no data rows")
-    return np.array(rows), names
-
-
-def load_csv(path, has_header: bool = True, delimiter: str = ",") -> TimeSeries:
-    return TimeSeries(*parse_csv(path, has_header, delimiter))
-
-
-def save_csv(series: TimeSeries, path) -> None:
-    """17 significant digits, so save -> load round-trips float64 exactly."""
-    names = series.names or [f"x{i}" for i in range(series.p)]
-    np.savetxt(path, series.data, fmt="%.17g", delimiter=",", header=",".join(names),
-               comments="")
 
 
 def standardize(series: TimeSeries) -> tuple[TimeSeries, np.ndarray, np.ndarray]:

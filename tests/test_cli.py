@@ -5,6 +5,7 @@ import pytest
 
 from grngc import cli
 from grngc.cli import DEFAULT_CONFIG, CliError, load_config, main
+from grngc.datagen import TimeSeries
 
 FAST_VAR = [
     "--set", "data.source=var",
@@ -134,8 +135,11 @@ class TestConfig:
         (["simulate", "--set", "data.source=var", "--set", "data.p=0"], "VAR needs p >= 1, got 0"),
         (["simulate", "--set", "data.source=var", "--set", "data.T=1"], "VAR(1) needs T > 1"),
         (["simulate", "--set", "data.burn_in=-1"], "burn_in >= 0"),
+        (["simulate", "--set", "data.dt=1e308"], "dt=1e+308 overflows the burn-in sub-step"),
+        (["simulate", "--set", "data.source=var", "--set", "data.noise_sigma=-1"],
+         "VAR needs noise_sigma >= 0, got -1"),
     ], ids=["simulate --seed", "data.seed", "infer --seed", "run.seeds", "var data.p",
-            "var data.T", "data.burn_in"])
+            "var data.T", "data.burn_in", "data.dt", "var data.noise_sigma"])
     def test_bad_seed_or_size_writes_nothing(self, tmp_path, capsys, args, message):
         out = tmp_path / "x"
         # a case's own --set comes last, so it wins over these
@@ -144,6 +148,27 @@ class TestConfig:
         assert rc == 1
         err = capsys.readouterr().err
         assert err.startswith("error: ") and message in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key,raw", [
+        ("data.dt", "NaN"), ("data.dt", "Infinity"), ("data.forcing", "-Infinity"),
+        ("data.radius", "NaN"), ("data.density", "NaN"), ("data.noise_sigma", "Infinity"),
+        ("train.lam", "NaN"), ("run.lams", "[0.001, NaN]"),
+    ])
+    @pytest.mark.parametrize("via", ["set", "config"])
+    def test_non_finite_number_named_error(self, tmp_path, capsys, key, raw, via):
+        if via == "set":
+            args = ["--set", f"{key}={raw}"]
+        else:
+            section, name = key.split(".")
+            (tmp_path / "cfg.json").write_text(f'{{"{section}": {{"{name}": {raw}}}}}')
+            args = ["--config", str(tmp_path / "cfg.json")]
+        out = tmp_path / "x"
+        rc = main(["simulate", "--out", str(out), "--set", "data.source=var"] + args)
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert repr(key) in err and "finite float" in err
         assert not out.exists()
 
     def test_int_accepted_for_float(self):
@@ -231,11 +256,69 @@ class TestInfer:
         assert "'data.source' must be one of lorenz96, var, got 'csv'" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_non_finite_series_cell_named_error(self, tmp_path, capsys):
+        path = tmp_path / "s.csv"
+        path.write_text("a,b\n1,2\n3,nan\n5,6\n")
+        out = tmp_path / "x"
+        rc = main(["infer", "--out", str(out), "--set", f"data.series={path}"])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {path}: non-finite cell at row 2, column 1: 'nan'\n"
+        assert not out.exists()
+
     def test_missing_csv_names_path(self, tmp_path, capsys):
         rc = main(["infer", "--out", str(tmp_path / "x"),
                    "--set", "data.series=/nonexistent/file.csv"])
         assert rc != 0
         assert "/nonexistent/file.csv" in capsys.readouterr().err
+
+
+class TestCsv:
+    """Series files as infer and run read them (data.series) and write them."""
+
+    def load(self, path, has_header=True):
+        cfg = load_config(None, [f"data.series={path}",
+                                 f"data.has_header={json.dumps(has_header)}"])
+        return cli.make_data(cfg, 0)[0]
+
+    def test_basic_parse(self, tmp_path):
+        path = tmp_path / "x.csv"
+        path.write_text("a,b\n1,2\n3,4\n")
+        series = self.load(path)
+        assert series.names == ["a", "b"]
+        assert np.array_equal(series.data, [[1.0, 2.0], [3.0, 4.0]])
+
+    def test_ragged_row_cites_index(self, tmp_path):
+        path = tmp_path / "x.csv"
+        path.write_text("1,2,3\n4,5\n")
+        with pytest.raises(CliError, match="row 1"):
+            self.load(path, has_header=False)
+
+    def test_header_wider_than_rows(self, tmp_path):
+        path = tmp_path / "x.csv"
+        path.write_text("a,b,c\n1,2\n3,4\n")
+        with pytest.raises(CliError, match="row 1 has 2 columns, expected 3"):
+            self.load(path)
+
+    def test_non_numeric_cell_located(self, tmp_path):
+        path = tmp_path / "x.csv"
+        path.write_text("1,2\n3,oops\n")
+        with pytest.raises(CliError, match="row 1, column 1"):
+            self.load(path, has_header=False)
+
+    def test_empty_file(self, tmp_path):
+        path = tmp_path / "x.csv"
+        path.write_text("")
+        with pytest.raises(CliError, match="empty"):
+            self.load(path)
+
+    def test_roundtrip_exact(self, tmp_path):
+        rng = np.random.default_rng(0)
+        series = TimeSeries(rng.normal(size=(20, 3)) * 1e3, names=["u", "v", "w"])
+        cli.write_outputs(tmp_path, series)
+        loaded = self.load(tmp_path / "series.csv")
+        assert loaded.names == series.names
+        assert np.array_equal(loaded.data, series.data)
 
 
 class TestEval:
@@ -317,7 +400,18 @@ class TestEval:
                    "--out", str(tmp_path / "m")])
         assert rc == 1
         err = capsys.readouterr().err
-        assert err.startswith("error: ") and f"{which}.csv: matrix contains non-finite" in err
+        assert err.startswith("error: ")
+        assert f"{which}.csv: non-finite cell at row 1, column 0: '{value}'" in err
+        assert not (tmp_path / "m").exists()
+
+    def test_negative_score_named_error(self, tmp_path, capsys):
+        self.write(tmp_path / "gc.csv", np.array([[1.0, -1.0], [0.0, 1.0]]))
+        self.write(tmp_path / "truth.csv", np.eye(2))
+        rc = main(["eval", str(tmp_path / "gc.csv"), str(tmp_path / "truth.csv"),
+                   "--out", str(tmp_path / "m")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {tmp_path / 'gc.csv'}: scores must be non-negative\n"
         assert not (tmp_path / "m").exists()
 
     @pytest.mark.parametrize("which", ["gc", "truth"])
@@ -461,7 +555,7 @@ class TestRun:
         rc = main([command, "--out", str(out), "--set", f"data.series={var3 / 'series.csv'}",
                    "--set", f"data.truth={tmp_path / 'truth.csv'}", "--set", "train.epochs=1"])
         assert rc == 1
-        assert "truth.csv: matrix contains non-finite values" in capsys.readouterr().err
+        assert "truth.csv: non-finite cell at row 1, column 1: 'nan'" in capsys.readouterr().err
         assert not out.exists()
 
     def test_too_short_series_writes_nothing(self, tmp_path, capsys):

@@ -4,9 +4,8 @@ import pytest
 from finite_difference import finite_difference
 from grngc import datagen as dg
 from grngc.datagen import (DataError, Lorenz96Config, SimulationError, TimeSeries,
-                           load_csv, lorenz96_truth, make_windows,
-                           random_sparse_var1, save_csv, simulate_lorenz96,
-                           simulate_var, standardize)
+                           lorenz96_truth, make_windows, random_sparse_var1,
+                           simulate_lorenz96, simulate_var, standardize)
 from grngc.kernels import lorenz96_rhs, lorenz96_trajectory
 from lorenz96_reference import roll_rhs, roll_trajectory
 
@@ -86,10 +85,11 @@ class TestVar:
         assert np.array_equal(truth.matrix, np.eye(3, dtype=bool))
 
     def test_geometric_decay_no_noise(self):
-        series, _ = simulate_var([0.5 * np.eye(3)], T=6, noise_sigma=0.0, seed=0,
-                                 x0=np.ones((1, 3)))
+        series, _ = simulate_var([0.5 * np.eye(3)], T=6, noise_sigma=0.0, seed=0)
+        x0 = series.data[0]
+        assert np.all(x0 != 0.0)
         for t in range(6):
-            assert np.max(np.abs(series.data[t] - 0.5 ** t)) < 1e-15
+            assert np.max(np.abs(series.data[t] - 0.5 ** t * x0)) < 1e-15 * np.max(np.abs(x0))
 
     def test_unstable_rejected(self):
         with pytest.raises(SimulationError, match="spectral radius"):
@@ -108,42 +108,6 @@ class TestVar:
         s1, _ = simulate_var([a], T=100, seed=5)
         s2, _ = simulate_var([a], T=100, seed=5)
         assert np.array_equal(s1.data, s2.data)
-
-
-class TestCsv:
-    def test_basic_parse(self, tmp_path):
-        path = tmp_path / "x.csv"
-        path.write_text("a,b\n1,2\n3,4\n")
-        series = load_csv(path)
-        assert series.names == ["a", "b"]
-        assert np.array_equal(series.data, [[1.0, 2.0], [3.0, 4.0]])
-
-    def test_ragged_row_cites_index(self, tmp_path):
-        path = tmp_path / "x.csv"
-        path.write_text("1,2,3\n4,5\n")
-        with pytest.raises(DataError, match="row 1"):
-            load_csv(path, has_header=False)
-
-    def test_non_numeric_cell_located(self, tmp_path):
-        path = tmp_path / "x.csv"
-        path.write_text("1,2\n3,oops\n")
-        with pytest.raises(DataError, match="row 1, column 1"):
-            load_csv(path, has_header=False)
-
-    def test_empty_file(self, tmp_path):
-        path = tmp_path / "x.csv"
-        path.write_text("")
-        with pytest.raises(DataError, match="empty"):
-            load_csv(path)
-
-    def test_roundtrip_exact(self, tmp_path):
-        rng = np.random.default_rng(0)
-        series = TimeSeries(rng.normal(size=(20, 3)) * 1e3, names=["u", "v", "w"])
-        path = tmp_path / "x.csv"
-        save_csv(series, path)
-        loaded = load_csv(path)
-        assert loaded.names == series.names
-        assert np.array_equal(loaded.data, series.data)
 
 
 class TestStandardize:
