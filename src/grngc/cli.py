@@ -197,7 +197,13 @@ def make_data(cfg: dict, seed: int) -> tuple[TimeSeries, AdjacencyTruth | None]:
     if d["truth"] and not d["series"]:
         raise CliError("data.truth requires data.series")
     if d["series"]:
-        series = TimeSeries(*_read_csv(d["series"], d["has_header"], d["delimiter"]))
+        data, names = _read_csv(d["series"], d["has_header"], d["delimiter"])
+        if data.shape[0] < 2:
+            raise CliError(f"{d['series']}: need at least 2 data rows, got {data.shape[0]}")
+        constant = np.flatnonzero(np.ptp(data, axis=0) == 0)
+        if constant.size:
+            raise CliError(f"{d['series']}: zero-variance column {int(constant[0])}")
+        series = TimeSeries(data, names)
         if not d["truth"]:
             return series, None
         truth = read_truth(d["truth"], d["delimiter"])

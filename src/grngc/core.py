@@ -130,7 +130,8 @@ def infer_gc_matrix(backbone: Backbone, dataset: WindowedDataset) -> GcMatrix:
     total = np.zeros((backbone.output_dim, backbone.input_dim))
     for block in _batches(dataset, SCORE_CHUNK):
         # only this block's Jacobian array outlives the call, not its graph
-        jac = forward_graph(backbone, de.constant(block.inputs), params, jacobian=True)[1].value
+        jac = forward_graph(backbone, de.constant(block.inputs), params,
+                            _jacobian_only=True)[1].value
         total += np.abs(jac, out=jac).sum(axis=0)
     per_lag = total.reshape(backbone.output_dim, dataset.lag, -1).sum(axis=1)
     return GcMatrix(per_lag / (dataset.n_samples * dataset.lag))

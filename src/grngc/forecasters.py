@@ -99,14 +99,17 @@ def make_param_nodes(backbone: Backbone) -> list[de.Node]:
 
 
 def forward_graph(backbone: Backbone, x: de.Node, param_nodes: list[de.Node],
-                  jacobian: bool = False):
+                  jacobian: bool = False, _jacobian_only: bool = False):
     """Prediction (batch, n_out) as a graph over the given input and parameter
     nodes, and with `jacobian` the per-sample input Jacobian
     J[b, o, i] = d pred[b, o] / d x[b, i] chained from the layer factors, as a
-    differentiable graph too; else None."""
+    differentiable graph too; else None. `_jacobian_only`, for scoring,
+    builds the Jacobian alone: the last layer's features, output and bias go
+    unbuilt, and the prediction returned is None."""
     if x.value.ndim != 2 or x.shape[1] != backbone.input_dim:
         raise BackboneError(f"forward: window shape {x.shape} incompatible with "
                             f"input_dim {backbone.input_dim}")
+    jacobian = jacobian or _jacobian_only
     ones = de.constant(np.ones(x.shape[0]))  # broadcasts over the batch
     h = x
     params = iter(param_nodes)
@@ -126,14 +129,17 @@ def forward_graph(backbone: Backbone, x: de.Node, param_nodes: list[de.Node],
                                  de.constant(np.eye(k, 1 + k, 1))))
         else:
             w, b = next(params), next(params)
-        if backbone.kind == MLP and li == 0:
-            if jacobian:
-                factors.append(("boh,hi->boi", w))
-        else:
-            dfeat = None
-            if jacobian:
-                dfeat = feature_node(h, spec, 1)
-                factors.append(("boh,bhi->boi", de.einsum(f"oi{f},bi{f}->boi", w, dfeat)))
+        raw = backbone.kind == MLP and li == 0
+        dfeat = None
+        if jacobian and raw:
+            factors.append(("boh,hi->boi", w))
+        elif jacobian:
+            dfeat = feature_node(h, spec, 1)
+            factors.append(("boh,bhi->boi", de.einsum(f"oi{f},bi{f}->boi", w, dfeat)))
+        if _jacobian_only and li == len(backbone.layers) - 1:
+            h = None
+            break
+        if not raw:
             h = feature_node(h, spec, dfeat=dfeat)
         h = de.einsum(f"bi{f},oi{f}->bo", h, w)
         if backbone.kind == MLP:

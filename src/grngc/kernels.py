@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import ctypes
 import functools
+import math
 
 import numpy as np
 
@@ -37,38 +38,70 @@ class NonUniformKnots(ValueError):
     pass
 
 
+@functools.lru_cache(maxsize=128)
+def _piece_matrix(degree: int, deriv: int, h: float) -> np.ndarray:
+    """(degree - deriv + 1, degree + 1) matrix M such that
+    [1, u, ..., u^(degree - deriv)] @ M holds the deriv-th derivatives of
+    the degree + 1 B-spline pieces live on one interval of uniform knots
+    spaced h, at the local coordinate u in [0, 1]; column r is
+    B_{j-degree+r} on interval j. Read-only, as every call with the same
+    arguments gets the same array."""
+    # the de Boor recurrence on exact integer coefficients of degree! times
+    # each piece: c[m, r] multiplies u^m in piece r
+    c = np.ones((1, 1), dtype=object)
+    for d in range(1, degree + 1):
+        r = np.arange(d, dtype=object)
+        grown = np.zeros((d + 1, d + 1), dtype=object)
+        # piece r + 1 gains (u + d - 1 - r) * c_r, piece r gains (r + 1 - u) * c_r
+        grown[:-1, 1:] += c * (d - 1 - r)
+        grown[1:, 1:] += c
+        grown[:-1, :-1] += c * (r + 1)
+        grown[1:, :-1] -= c
+        c = grown
+    for _ in range(deriv):  # d/dx = (1/h) d/du
+        c = c[1:] * np.arange(1, c.shape[0], dtype=object)[:, None]
+    m = c.astype(np.float64) / (math.factorial(degree) * h ** deriv)
+    m.flags.writeable = False
+    return m
+
+
 def bspline_basis_kernel(x: np.ndarray, knots: np.ndarray, degree: int, deriv: int = 0) -> np.ndarray:
     """B-spline basis values (or their deriv-th derivative) as an
     (n, len(knots) - degree - 1) array for n points already clamped to the
-    knot domain; knots not equally spaced raise NonUniformKnots. Only the
-    degree+1 pieces live on a point's knot interval are evaluated, by the de
-    Boor triangle in the local coordinate u in [0, 1]. Intervals are
-    half-open and clipped to the domain: x at its right edge takes the left
-    limit."""
+    knot domain; knots not equally spaced raise NonUniformKnots. A point's
+    knot interval j and local coordinate u in [0, 1] come by arithmetic; its
+    degree+1 live pieces are the powers of u times the cached piece matrix,
+    written into the zero output by one scatter. Intervals are half-open and
+    clipped to the domain: x at its right edge takes the left limit."""
     x = np.ascontiguousarray(x, dtype=np.float64)
     knots = np.ascontiguousarray(knots, dtype=np.float64)
-    n_basis = knots.shape[0] - degree - 1
+    n, n_basis = x.shape[0], knots.shape[0] - degree - 1
     h = (knots[-1] - knots[0]) / (knots.shape[0] - 1)
     if not h > 0 or np.max(np.abs(np.diff(knots) - h)) > 1e-6 * h:
         raise NonUniformKnots(f"B-spline knots must be equally spaced, got {knots}")
-    out = np.zeros((x.shape[0], n_basis))
+    out = np.zeros((n, n_basis))
     if deriv > degree:
         return out
-    j = np.clip(np.searchsorted(knots, x, "right") - 1, degree, n_basis - 1)
-    u = np.clip((x - knots[j]) / h, 0.0, 1.0)
-    # b[r] is the piece of B_{j-d+r} of degree d on interval j; one row per
-    # piece keeps every update a contiguous pass over the points
-    b = np.ones((1, x.shape[0]))
-    for d in range(1, degree - deriv + 1):
-        r = np.arange(d)[:, None]
-        grown = np.zeros((d + 1, x.shape[0]))
-        grown[1:] = (u + (d - 1 - r)) * b
-        grown[:-1] += (r + 1 - u) * b
-        b = grown / d
-    # uniform knots: B'_{i,d} = (B_{i,d-1} - B_{i+1,d-1}) / h
-    for _ in range(deriv):
-        b = np.diff(np.pad(b, ((1, 1), (0, 0))), axis=0) / -h
-    np.put_along_axis(out, (j - degree)[:, None] + np.arange(degree + 1), b.T, axis=1)
+    s = (x - knots[0]) / h
+    # fmax/fmin, unlike clip, send NaN to a valid interval: NaN points give
+    # NaN values, not an out-of-range index
+    j = np.fmin(np.fmax(np.floor(s), degree), n_basis - 1)
+    u = np.clip(s - j, 0.0, 1.0)
+    m = _piece_matrix(degree, deriv, float(h))
+    powers = np.empty((m.shape[0], n))
+    powers[0] = 1.0
+    for k in range(1, m.shape[0]):
+        np.multiply(powers[k - 1], u, out=powers[k])
+    pieces = powers.T @ m  # one row per point, as in the output
+    if deriv == 0:  # a piece that is 0 at an end of the interval can round below 0 there
+        np.maximum(pieces, 0.0, out=pieces)
+    # flat output index of each piece, filled one column at a time: numpy
+    # runs a broadcast add over the short piece axis several times slower
+    flat = np.empty((n, degree + 1), dtype=np.intp)
+    flat[:, 0] = np.arange(-degree, n * n_basis - degree, n_basis) + j.astype(np.intp)
+    for r in range(1, degree + 1):
+        np.add(flat[:, 0], r, out=flat[:, r])
+    out.reshape(-1)[flat] = pieces
     return out
 
 

@@ -573,7 +573,16 @@ class TestRun:
         rc = self.run_on(out, f"data.series={tmp_path / 'series.csv'}",
                          f"data.truth={var3 / 'truth.csv'}")
         assert rc == 1
-        assert "zero-variance column 1" in capsys.readouterr().err
+        assert f"{tmp_path / 'series.csv'}: zero-variance column 1" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_one_row_series_named_error(self, tmp_path, capsys):
+        (tmp_path / "one.csv").write_text("a,b\n0.5,1.5\n")
+        out = tmp_path / "out"
+        rc = main(["infer", "--out", str(out), "--set", f"data.series={tmp_path / 'one.csv'}"])
+        assert rc == 1
+        assert capsys.readouterr().err == (f"error: {tmp_path / 'one.csv'}: "
+                                           "need at least 2 data rows, got 1\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("items", [

@@ -382,6 +382,43 @@ class TestInferGcMatrix:
         gc = infer_gc_matrix(bb, ds)
         assert np.max(np.abs(gc.scores - np.abs(a))) < 1e-12
 
+    def test_kan_scoring_builds_only_the_jacobian(self, monkeypatch):
+        # one block: deriv 1 and 0 on the input, deriv 1 on the hidden layer,
+        # and no order-0 features of the hidden layer for the unused prediction
+        from grngc import splines
+        calls = []
+        basis_values = splines.basis_values
+
+        def recording(x, spec, deriv=0):
+            calls.append(deriv)
+            return basis_values(x, spec, deriv)
+
+        monkeypatch.setattr(splines, "basis_values", recording)
+        rng = np.random.default_rng(13)
+        bb = fc.init_backbone("kan", [4, 5, 2], seed=13)
+        infer_gc_matrix(bb, WindowedDataset(rng.uniform(-1, 1, (6, 4)),
+                                            rng.normal(size=(6, 2)), lag=2))
+        assert calls == [1, 0, 1]
+
+    def test_mlp_scoring_builds_no_output(self, monkeypatch):
+        # the hidden layer's einsum and bias make its activations; the output
+        # layer's einsum and bias, shaped (batch, 2), are never built
+        shapes = []
+        einsum = de.einsum
+
+        def recording(spec, *operands):
+            node = einsum(spec, *operands)
+            if spec.endswith("->bo"):
+                shapes.append(node.shape)
+            return node
+
+        monkeypatch.setattr(de, "einsum", recording)
+        rng = np.random.default_rng(14)
+        bb = fc.init_backbone("mlp", [4, 5, 2], seed=14)
+        infer_gc_matrix(bb, WindowedDataset(rng.normal(size=(6, 4)),
+                                            rng.normal(size=(6, 2)), lag=2))
+        assert shapes == [(6, 5), (6, 5)]
+
     def test_recomputation_identical(self):
         rng = np.random.default_rng(9)
         bb = fc.init_backbone("kan", [4, 5, 2], seed=9)

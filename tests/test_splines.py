@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 import grngc.diffengine as de
 from bspline_reference import bspline_table
 from finite_difference import finite_difference
-from grngc.kernels import NonUniformKnots, bspline_basis_kernel
+from grngc.kernels import NonUniformKnots, _piece_matrix, bspline_basis_kernel
 from grngc.splines import SplineSpec, SplineError, basis_values, feature_node
 
 
@@ -84,7 +84,7 @@ class TestBasis:
 
 class TestKernel:
     @settings(max_examples=300, deadline=None)
-    @given(degree=st.integers(1, 4), grid=st.integers(2, 9),
+    @given(degree=st.integers(1, 5), grid=st.integers(2, 9),
            lo=st.floats(-4.0, 4.0), width=st.floats(0.25, 8.0),
            seed=st.integers(0, 2**32 - 1))
     def test_matches_cox_de_boor_table(self, degree, grid, lo, width, seed):
@@ -111,6 +111,19 @@ class TestKernel:
         knots[4] += 0.1
         with pytest.raises(NonUniformKnots):
             bspline_basis_kernel(np.array([0.0]), knots, 3)
+
+    def test_nan_point_gives_nan_values(self):
+        # a diverged activation reaches the loss check, not an index error
+        spec = SplineSpec()
+        out = bspline_basis_kernel(np.array([np.nan, 0.0]), spec.knots(), spec.degree, 1)
+        assert np.isnan(out[0]).any() and np.all(np.isfinite(out[1]))
+
+    def test_cached_piece_matrix_read_only(self):
+        # every kernel call with these arguments shares the one array
+        cached = _piece_matrix(3, 1, 0.8)
+        assert _piece_matrix(3, 1, 0.8) is cached
+        with pytest.raises(ValueError):
+            cached[0, 0] = 1.0
 
 
 def spline_slots(node, spec):
