@@ -15,6 +15,8 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .kernels import contract
+
 
 class DiffError(Exception):
     """Base class for differentiation-engine errors."""
@@ -92,7 +94,7 @@ def einsum(spec: str, a: Node, b: Node) -> Node:
             or not set(sa) <= set(sb + out) or not set(sb) <= set(sa + out)):
         raise ShapeMismatch(f"einsum {spec}", a.shape, b.shape)
     return Node(
-        np.einsum(spec, a.value, b.value, optimize=True),
+        contract(spec, a.value, b.value),
         (a, b),
         lambda g: (einsum(f"{out},{sb}->{sa}", g, b) if a.requires_grad else None,
                    einsum(f"{out},{sa}->{sb}", g, a) if b.requires_grad else None),

@@ -1,10 +1,13 @@
-"""Hot numeric kernels, in numpy: B-spline basis evaluation and Lorenz-96
-integration."""
+"""Hot numeric kernels, in numpy: B-spline basis evaluation, Lorenz-96
+integration and pairwise contractions split across cores."""
 from __future__ import annotations
 
 import ctypes
 import functools
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
+from typing import NamedTuple
 
 import numpy as np
 
@@ -138,3 +141,151 @@ def lorenz96_trajectory(x0: np.ndarray, forcing: float, dt: float, n_steps: int)
         x = x + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
         traj[s + 1] = x
     return traj
+
+
+# ---------------------------------------------------------------------------
+# Pairwise contractions: numpy's own matmul lowering, split across cores.
+# ---------------------------------------------------------------------------
+
+# multiply-adds below which one more chunk costs more in thread hand-off than
+# it saves
+CONTRACT_FLOOR = 1 << 22
+
+_CPUS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+         else os.cpu_count() or 1)
+
+
+def _new_pool() -> None:
+    """Make the pool of split contractions; its threads start at the first
+    split. A forked child makes its own: it inherits the pool's thread
+    objects but none of its threads, so work submitted there never runs."""
+    global _POOL
+    _POOL = ThreadPoolExecutor(max(_CPUS - 1, 1), thread_name_prefix="grngc-contract")
+
+
+_new_pool()
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_new_pool)
+
+
+class _Lowering(NamedTuple):
+    """`np.einsum(spec, a, b, optimize=True)` as numpy 2 runs it: the pair
+    taken as (b, a), each operand permuted by a one-operand einsum and
+    reshaped, one matmul, and its result reshaped and transposed."""
+    eq_left: str | None      # applied to b
+    shape_left: tuple | None
+    eq_right: str | None     # applied to a
+    shape_right: tuple | None
+    matmul_shape: tuple      # (batch, M, N)
+    shape_out: tuple | None
+    perm_out: tuple | None
+    work: int                # multiply-adds
+
+
+@functools.lru_cache(maxsize=1024)
+def _lowering(spec: str, a_shape: tuple, b_shape: tuple) -> _Lowering | None:
+    """The batched-matmul lowering of an explicit two-operand spec, or None
+    where `contract` leaves the spec to np.einsum: no batch label (a row
+    split changes the result of a multi-threaded BLAS), no contracted label,
+    a size-1 axis (numpy's singletons), or a spec np.einsum must judge."""
+    spec = spec.replace(" ", "")
+    if "." in spec or spec.count("->") != 1 or spec.count(",") != 1:
+        return None
+    inputs, out = spec.split("->")
+    right, left = inputs.split(",")  # numpy contracts the pair as (b, a)
+    sizes: dict[str, int] = {}
+    for term, shape in ((left, b_shape), (right, a_shape)):
+        if len(term) != len(shape) or 1 in shape:
+            return None
+        for ix, n in zip(term, shape):
+            if sizes.setdefault(ix, n) != n:
+                return None
+    if len(set(out)) != len(out) or not set(out) <= set(sizes):
+        return None
+    # unique labels, each in the order of its first term
+    batch = [ix for ix in dict.fromkeys(left) if ix in right and ix in out]
+    summed = [ix for ix in dict.fromkeys(left) if ix in right and ix not in out]
+    keep_left = [ix for ix in dict.fromkeys(left) if ix not in right and ix in out]
+    keep_right = [ix for ix in dict.fromkeys(right) if ix not in left and ix in out]
+    if not batch or not summed:
+        return None
+
+    def size(group):
+        return math.prod(sizes[ix] for ix in group)
+
+    def prepare(term, labels):
+        return None if term == "".join(labels) else f"{term}->{''.join(labels)}"
+
+    groups = [batch, keep_left, summed]
+    groups_right = [batch, summed, keep_right]
+    groups_out = [batch, keep_left, keep_right]
+    produced = "".join(batch + keep_left + keep_right)
+    return _Lowering(
+        prepare(left, batch + keep_left + summed),
+        tuple(map(size, groups)) if any(len(g) != 1 for g in groups) else None,
+        prepare(right, batch + summed + keep_right),
+        tuple(map(size, groups_right)) if any(len(g) != 1 for g in groups_right) else None,
+        tuple(map(size, groups_out)),
+        (tuple(sizes[ix] for ix in produced)
+         if any(len(g) != 1 for g in groups_out) else None),
+        tuple(produced.index(ix) for ix in out) if produced != out else None,
+        size(produced) * size(summed),
+    )
+
+
+def _lowered(lowering: _Lowering, a: np.ndarray, b: np.ndarray, chunks: int) -> np.ndarray:
+    """Run the lowering, its matmul split into `chunks` along the batch axis:
+    the caller computes the first chunk and the pool the rest. Each chunk
+    makes the same per-matrix BLAS calls as the whole matmul."""
+    x, y = b, a
+    if lowering.eq_left is not None:
+        x = np.einsum(lowering.eq_left, x)
+    if lowering.shape_left is not None:
+        x = x.reshape(lowering.shape_left)
+    if lowering.eq_right is not None:
+        y = np.einsum(lowering.eq_right, y)
+    if lowering.shape_right is not None:
+        y = y.reshape(lowering.shape_right)
+    ab = np.empty(lowering.matmul_shape, dtype=np.result_type(x, y))
+    edges = [ab.shape[0] * c // chunks for c in range(chunks + 1)]
+    parts = [(x[lo:hi], y[lo:hi], ab[lo:hi]) for lo, hi in zip(edges[:-1], edges[1:])]
+    # np.matmul releases the GIL
+    pending = [_POOL.submit(np.matmul, xs, ys, out=out) for xs, ys, out in parts[1:]]
+    xs, ys, out = parts[0]
+    np.matmul(xs, ys, out=out)
+    for job in pending:
+        job.result()
+    if lowering.shape_out is not None:
+        ab = ab.reshape(lowering.shape_out)
+    if lowering.perm_out is not None:
+        ab = ab.transpose(lowering.perm_out)
+    return ab
+
+
+def _numpy_lowers_to_matmul() -> bool:
+    """Whether np.einsum(..., optimize=True) runs a pair as `_Lowering` says,
+    judged on a probe whose result numpy lays out transposed."""
+    spec = "oik,bik->boi"
+    a = np.linspace(-1.0, 1.0, 2 * 3 * 37).reshape(2, 3, 37)
+    b = np.cos(np.arange(5 * 3 * 37.0)).reshape(5, 3, 37)
+    want = np.einsum(spec, a, b, optimize=True)
+    got = _lowered(_lowering(spec, a.shape, b.shape), a, b, 1)
+    return got.strides == want.strides and np.array_equal(got, want)
+
+
+_LOWERS_TO_MATMUL = _numpy_lowers_to_matmul()
+
+
+def contract(spec: str, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """`np.einsum(spec, a, b, optimize=True)`, equal to it in values, shape
+    and strides, with its batched matmul split into one chunk per usable CPU
+    along the batch axis. Each chunk holds at least CONTRACT_FLOOR
+    multiply-adds. np.einsum runs the pair whole where fewer than two such
+    chunks fit, where `_lowering` gives none, or where numpy does not lower
+    a pair to one matmul."""
+    lowering = _lowering(spec, a.shape, b.shape) if _LOWERS_TO_MATMUL else None
+    if lowering is not None:
+        chunks = min(_CPUS, lowering.matmul_shape[0], lowering.work // CONTRACT_FLOOR)
+        if chunks >= 2:
+            return _lowered(lowering, a, b, chunks)
+    return np.einsum(spec, a, b, optimize=True)

@@ -15,6 +15,7 @@ import grngc
 import grngc.diffengine as de
 from finite_difference import finite_difference
 from grngc import forecasters as fc
+from grngc import kernels
 from grngc.cli import write_outputs
 from grngc.core import (SCORE_CHUNK, LossGraph, TrainConfig,
                         TrainError, infer_gc_matrix, prediction_loss, train)
@@ -467,6 +468,31 @@ class TestTrain:
         b = train(series, cfg)
         assert np.array_equal(a.gc.scores, b.gc.scores)
         assert a.pred_losses == b.pred_losses
+
+    def test_same_on_any_core_count(self, monkeypatch):
+        # lag 6, p=8, hidden 128: J = F2.F1 of a 256-window batch is three
+        # floors of multiply-adds, so three usable CPUs split it in three
+        rng = np.random.default_rng(4)
+        series = TimeSeries(rng.normal(size=(300, 8)))
+        cfg = TrainConfig(lag=6, epochs=1, hidden=(128,), seed=4)
+        chunks = []
+        lowered = kernels._lowered
+
+        def recording(lowering, a, b, n):
+            chunks.append(n)
+            return lowered(lowering, a, b, n)
+
+        monkeypatch.setattr(kernels, "_lowered", recording)
+        reports = {}
+        for cpus in (1, 3):
+            monkeypatch.setattr(kernels, "_CPUS", cpus)
+            reports[cpus] = train(series, cfg)
+            split = cpus if kernels._LOWERS_TO_MATMUL else 1  # else np.einsum runs all
+            assert (max(chunks) if chunks else 1) == split
+        assert np.array_equal(reports[1].gc.scores, reports[3].gc.scores)
+        for p1, p3 in zip(fc.param_arrays(reports[1].backbone),
+                          fc.param_arrays(reports[3].backbone)):
+            assert np.array_equal(p1, p3)
 
     def test_noise_floor(self):
         rng = np.random.default_rng(1)

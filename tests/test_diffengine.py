@@ -1,3 +1,7 @@
+import os
+import time
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -5,6 +9,10 @@ from hypothesis import strategies as st
 
 import grngc.diffengine as de
 from finite_difference import NonFiniteValue, finite_difference
+from grngc import forecasters as fc
+from grngc import kernels
+from grngc.core import LossGraph, infer_gc_matrix
+from grngc.datagen import WindowedDataset
 from grngc.splines import feature_node
 
 
@@ -225,6 +233,147 @@ class TestEinsum:
         b0 = rng.uniform(-1, 1, [size[c] for c in sb])
         check_first_and_second_derivatives(
             lambda a, b: de.einsum(spec, a, b), a0, b0, rng)
+
+
+def same_array(got, want):
+    return (got.shape == want.shape and got.strides == want.strides
+            and np.array_equal(got, want))
+
+
+def recorded_contractions():
+    """Every (spec, a, b) that de.einsum contracts in a p=30 KAN training
+    step, a p=20 KAN scoring block and a p=20 MLP training step (batch 256,
+    hidden 128, lag 5)."""
+    calls = []
+    contract = de.contract
+
+    def recording(spec, a, b):
+        calls.append((spec, a, b))
+        return contract(spec, a, b)
+
+    rng = np.random.default_rng(0)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(de, "contract", recording)
+        for kind, p, train in (("kan", 30, True), ("kan", 20, False), ("mlp", 20, True)):
+            bb = fc.init_backbone(kind, [5 * p, 128, p], seed=p)
+            ds = WindowedDataset(rng.uniform(-2, 2, (256, 5 * p)), rng.normal(size=(256, p)), 5)
+            if train:
+                graph = LossGraph(bb, ds, 1e-3)
+                de.backward(graph.loss, graph.params)
+            else:
+                infer_gc_matrix(bb, ds)
+    return calls
+
+
+# labels of each role in a random contraction: in both operands and the
+# output, in a and the output, in b and the output, in both operands only
+ROLES = ("batch", "keep_a", "keep_b", "summed")
+
+
+@st.composite
+def contractions(draw):
+    """A spec over random label sets, operands of sizes 1-5 that are
+    transposed views where the draw permutes their axes, and an output in
+    random label order."""
+    pool = iter("abcdefgh")
+    labels = {role: [next(pool) for _ in range(draw(st.integers(0, 2)))] for role in ROLES}
+    labels["summed"] = labels["summed"] or [next(pool)]
+    sizes = {ix: draw(st.integers(1, 5)) for group in labels.values() for ix in group}
+    sa = draw(st.permutations(labels["batch"] + labels["keep_a"] + labels["summed"]))
+    sb = draw(st.permutations(labels["batch"] + labels["keep_b"] + labels["summed"]))
+    out = draw(st.permutations(labels["batch"] + labels["keep_a"] + labels["keep_b"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 16)))
+
+    def operand(term):
+        stored = draw(st.permutations(term))  # memory order of the axes
+        x = rng.normal(size=[sizes[ix] for ix in stored])
+        return x.transpose([stored.index(ix) for ix in term])
+
+    return f"{''.join(sa)},{''.join(sb)}->{''.join(out)}", operand(sa), operand(sb)
+
+
+@pytest.mark.skipif(not kernels._LOWERS_TO_MATMUL,
+                    reason="this numpy does not lower a pair to one matmul")
+class TestContract:
+    """kernels.contract against np.einsum(..., optimize=True): the same
+    values, shape and strides on any number of chunks."""
+
+    @pytest.fixture
+    def splits(self, monkeypatch):
+        """Chunk counts of the contractions that took the split path."""
+        chunks = []
+        lowered = kernels._lowered
+
+        def recording(lowering, a, b, n):
+            chunks.append(n)
+            return lowered(lowering, a, b, n)
+
+        monkeypatch.setattr(kernels, "_lowered", recording)
+        return chunks
+
+    def test_model_contractions_equal_numpy(self, splits, monkeypatch):
+        recorded = recorded_contractions()
+        for cpus in (2, 3):
+            monkeypatch.setattr(kernels, "_CPUS", cpus)
+            splits.clear()
+            for spec, a, b in recorded:
+                assert same_array(kernels.contract(spec, a, b),
+                                  np.einsum(spec, a, b, optimize=True)), spec
+            # at least the first-layer factor, J = F2.F1 and their gradients at p=30
+            assert len(splits) >= 5 and max(splits) == cpus
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=contractions(), cpus=st.integers(1, 3), floor=st.sampled_from([1, 64, 4096]))
+    def test_random_contractions_equal_numpy(self, case, cpus, floor):
+        # a low floor puts small operands on both sides of it
+        spec, a, b = case
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(kernels, "_CPUS", cpus)
+            mp.setattr(kernels, "CONTRACT_FLOOR", floor)
+            assert same_array(kernels.contract(spec, a, b),
+                              np.einsum(spec, a, b, optimize=True))
+
+    @pytest.mark.parametrize("spec,shapes,chunks", [
+        ("bij,bjk->bik", ((4, 128, 128), (4, 128, 128)), [2]),   # 2 floors of work
+        ("bij,bjk->bik", ((4, 128, 127), (4, 127, 128)), []),    # just under 2 floors
+        ("bij,bjk->bik", ((3, 256, 128), (3, 128, 128)), [3]),   # 3 floors
+        ("ij,jk->ik", ((512, 128), (128, 192)), []),             # no batch label
+        ("bij,bjk->bik", ((2, 1024, 128), (2, 128, 128)), [2]),  # a batch of 2 bounds it
+        ("bij,bjk->bik", ((4, 128, 1), (4, 1, 8192)), []),       # numpy's size-1 singleton
+        ("bi,bk->bik", ((4, 2048), (4, 2048)), []),              # no label summed
+    ])
+    def test_chunks_at_the_floor(self, spec, shapes, chunks, splits, monkeypatch):
+        monkeypatch.setattr(kernels, "_CPUS", 3)
+        rng = np.random.default_rng(1)
+        a, b = rng.normal(size=shapes[0]), rng.normal(size=shapes[1])
+        assert same_array(kernels.contract(spec, a, b), np.einsum(spec, a, b, optimize=True))
+        assert splits == chunks
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="POSIX fork only")
+    def test_contracts_after_fork(self, monkeypatch):
+        # the child must get a working pool, not the parent's thread objects
+        monkeypatch.setattr(kernels, "_CPUS", 2)
+        rng = np.random.default_rng(2)
+        a, b = rng.normal(size=(4, 128, 128)), rng.normal(size=(4, 128, 128))
+        want = np.einsum("bij,bjk->bik", a, b, optimize=True)
+        assert same_array(kernels.contract("bij,bjk->bik", a, b), want)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DeprecationWarning)  # fork of a threaded process
+            pid = os.fork()
+        if pid == 0:  # the child never returns into pytest
+            code = 1
+            try:
+                code = 0 if same_array(kernels.contract("bij,bjk->bik", a, b), want) else 1
+            finally:
+                os._exit(code)
+        deadline = time.monotonic() + 30
+        while (done := os.waitpid(pid, os.WNOHANG))[0] == 0 and time.monotonic() < deadline:
+            time.sleep(0.05)
+        if done[0] == 0:
+            os.kill(pid, 9)
+            os.waitpid(pid, 0)
+            pytest.fail("the forked child's contraction did not finish in 30 s")
+        assert os.waitstatus_to_exitcode(done[1]) == 0
 
 
 def check_first_and_second_derivatives(op, a0, b0, rng):
