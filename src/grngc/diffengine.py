@@ -15,7 +15,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .kernels import contract
+from .kernels import contract, result_order
 
 
 class DiffError(Exception):
@@ -40,11 +40,15 @@ class Node:
     `vjp`, when present, maps an upstream gradient node to one gradient node
     (or None) per parent. Rules are compositions of primitives, never opaque
     numeric closures, which is what makes second-order differentiation work.
+    `batch_axes` are the axes that the node's own backward contractions
+    batch over (an einsum's labels in both operands and the output), so its
+    gradient is read best with them outermost in memory.
     """
 
-    __slots__ = ("value", "parents", "vjp", "requires_grad", "op")
+    __slots__ = ("value", "parents", "vjp", "requires_grad", "op", "batch_axes")
 
-    def __init__(self, value, parents=(), vjp=None, requires_grad=None, op="leaf"):
+    def __init__(self, value, parents=(), vjp=None, requires_grad=None, op="leaf",
+                 batch_axes=()):
         self.value = np.asarray(value, dtype=np.float64)
         self.parents: tuple[Node, ...] = tuple(parents)
         self.vjp: Callable | None = vjp
@@ -52,6 +56,7 @@ class Node:
             requires_grad = any(p.requires_grad for p in self.parents)
         self.requires_grad = bool(requires_grad)
         self.op = op
+        self.batch_axes = batch_axes
 
     @property
     def shape(self):
@@ -96,10 +101,32 @@ def einsum(spec: str, a: Node, b: Node) -> Node:
     return Node(
         contract(spec, a.value, b.value),
         (a, b),
-        lambda g: (einsum(f"{out},{sb}->{sa}", g, b) if a.requires_grad else None,
-                   einsum(f"{out},{sa}->{sb}", g, a) if b.requires_grad else None),
+        lambda g: (_gradient(g, out, b, sb, a, sa) if a.requires_grad else None,
+                   _gradient(g, out, a, sa, b, sb) if b.requires_grad else None),
         op="einsum",
+        batch_axes=tuple(i for i, ix in enumerate(out) if ix in sa and ix in sb),
     )
+
+
+def _gradient(g: Node, out: str, other: Node, so: str, target: Node, st: str) -> Node:
+    """The gradient of `target` (labels st) through its contraction with
+    `other` (labels so), from the upstream gradient g (labels out):
+    `einsum(out,so->st)(g, other)`, or `einsum(so,out->st)(other, g)`, which
+    differs in rounding only. The second is taken where numpy lays its
+    result out in the order the gradient's readers want and the first's is
+    not, or failing that, where only the second gives it their unit-stride
+    axis. That order puts the target's batch axes outermost and then follows
+    its value's memory order. Where numpy's layout cannot be predicted, g
+    stays first."""
+    strides = target.value.strides
+    want = "".join(st[k] for k in sorted(
+        range(len(st)), key=lambda k: (k not in target.batch_axes, -abs(strides[k]))))
+    first = result_order(f"{out},{so}->{st}", g.shape, other.shape)
+    second = result_order(f"{so},{out}->{st}", other.shape, g.shape)  # None with first
+    if first is not None and first != want and (
+            second == want or second[-1] == want[-1] != first[-1]):
+        return einsum(f"{so},{out}->{st}", other, g)
+    return einsum(f"{out},{so}->{st}", g, other)
 
 
 def _toposort(root: Node) -> list[Node]:

@@ -113,7 +113,11 @@ def forward_graph(backbone: Backbone, x: de.Node, param_nodes: list[de.Node],
     ones = de.constant(np.ones(x.shape[0]))  # broadcasts over the batch
     h = x
     params = iter(param_nodes)
-    # (einsum spec, node) pairs that right-multiply the Jacobian from the output side
+    # (einsum spec, node) pairs that right-multiply the Jacobian from the output
+    # side, each spec taking the factor first: numpy lays a lowered pair out
+    # as batch labels, then the second operand's kept labels, then the
+    # first's (kernels.result_order), so J comes out C-ordered for the
+    # penalty and its sign
     factors = []
     # a layer is einsum(features of h, W) over the input and feature axes;
     # the KAN features are [silu | B_0 ... B_{K-1}] on axis k, the MLP's
@@ -132,10 +136,10 @@ def forward_graph(backbone: Backbone, x: de.Node, param_nodes: list[de.Node],
         raw = backbone.kind == MLP and li == 0
         dfeat = None
         if jacobian and raw:
-            factors.append(("boh,hi->boi", w))
+            factors.append(("hi,boh->boi", w))
         elif jacobian:
             dfeat = feature_node(h, spec, 1)
-            factors.append(("boh,bhi->boi", de.einsum(f"oi{f},bi{f}->boi", w, dfeat)))
+            factors.append(("bhi,boh->boi", de.einsum(f"oi{f},bi{f}->boi", w, dfeat)))
         if _jacobian_only and li == len(backbone.layers) - 1:
             h = None
             break
@@ -150,7 +154,7 @@ def forward_graph(backbone: Backbone, x: de.Node, param_nodes: list[de.Node],
     if jac.value.ndim == 2:
         jac = de.einsum("b,oi->boi", ones, jac)
     for chain, factor in reversed(factors):
-        jac = de.einsum(chain, jac, factor)
+        jac = de.einsum(chain, factor, jac)
     return h, jac
 
 

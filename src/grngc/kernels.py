@@ -171,23 +171,25 @@ if hasattr(os, "register_at_fork"):
 class _Lowering(NamedTuple):
     """`np.einsum(spec, a, b, optimize=True)` as numpy 2 runs it: the pair
     taken as (b, a), each operand permuted by a one-operand einsum and
-    reshaped, one matmul, and its result reshaped and transposed."""
+    reshaped, one matmul, batched or not, and its result reshaped and
+    transposed."""
     eq_left: str | None      # applied to b
     shape_left: tuple | None
     eq_right: str | None     # applied to a
     shape_right: tuple | None
-    matmul_shape: tuple      # (batch, M, N)
+    matmul_shape: tuple      # (batch, M, N), or (M, N) with no batch label
     shape_out: tuple | None
     perm_out: tuple | None
     work: int                # multiply-adds
+    produced: str            # the result's labels, outermost axis in memory first
 
 
 @functools.lru_cache(maxsize=1024)
 def _lowering(spec: str, a_shape: tuple, b_shape: tuple) -> _Lowering | None:
-    """The batched-matmul lowering of an explicit two-operand spec, or None
-    where `contract` leaves the spec to np.einsum: no batch label (a row
-    split changes the result of a multi-threaded BLAS), no contracted label,
-    a size-1 axis (numpy's singletons), or a spec np.einsum must judge."""
+    """The matmul lowering of an explicit two-operand spec, or None where
+    numpy runs no matmul (no contracted label: it multiplies) or where this
+    model leaves the spec to np.einsum: a size-1 axis (numpy's singletons)
+    or a spec np.einsum must judge."""
     spec = spec.replace(" ", "")
     if "." in spec or spec.count("->") != 1 or spec.count(",") != 1:
         return None
@@ -207,7 +209,7 @@ def _lowering(spec: str, a_shape: tuple, b_shape: tuple) -> _Lowering | None:
     summed = [ix for ix in dict.fromkeys(left) if ix in right and ix not in out]
     keep_left = [ix for ix in dict.fromkeys(left) if ix not in right and ix in out]
     keep_right = [ix for ix in dict.fromkeys(right) if ix not in left and ix in out]
-    if not batch or not summed:
+    if not summed:
         return None
 
     def size(group):
@@ -216,9 +218,10 @@ def _lowering(spec: str, a_shape: tuple, b_shape: tuple) -> _Lowering | None:
     def prepare(term, labels):
         return None if term == "".join(labels) else f"{term}->{''.join(labels)}"
 
-    groups = [batch, keep_left, summed]
-    groups_right = [batch, summed, keep_right]
-    groups_out = [batch, keep_left, keep_right]
+    lead = [batch] if batch else []  # numpy drops an empty batch group
+    groups = [*lead, keep_left, summed]
+    groups_right = [*lead, summed, keep_right]
+    groups_out = [*lead, keep_left, keep_right]
     produced = "".join(batch + keep_left + keep_right)
     return _Lowering(
         prepare(left, batch + keep_left + summed),
@@ -230,13 +233,14 @@ def _lowering(spec: str, a_shape: tuple, b_shape: tuple) -> _Lowering | None:
          if any(len(g) != 1 for g in groups_out) else None),
         tuple(produced.index(ix) for ix in out) if produced != out else None,
         size(produced) * size(summed),
+        produced,
     )
 
 
 def _lowered(lowering: _Lowering, a: np.ndarray, b: np.ndarray, chunks: int) -> np.ndarray:
-    """Run the lowering, its matmul split into `chunks` along the batch axis:
-    the caller computes the first chunk and the pool the rest. Each chunk
-    makes the same per-matrix BLAS calls as the whole matmul."""
+    """Run a batched lowering, its matmul split into `chunks` along the batch
+    axis: the caller computes the first chunk and the pool the rest. Each
+    chunk makes the same per-matrix BLAS calls as the whole matmul."""
     x, y = b, a
     if lowering.eq_left is not None:
         x = np.einsum(lowering.eq_left, x)
@@ -281,11 +285,21 @@ def contract(spec: str, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     and strides, with its batched matmul split into one chunk per usable CPU
     along the batch axis. Each chunk holds at least CONTRACT_FLOOR
     multiply-adds. np.einsum runs the pair whole where fewer than two such
-    chunks fit, where `_lowering` gives none, or where numpy does not lower
-    a pair to one matmul."""
+    chunks fit, where `_lowering` gives none, where the pair has no batch
+    label (a row split changes the result of a multi-threaded BLAS), or
+    where numpy does not lower a pair to one matmul."""
     lowering = _lowering(spec, a.shape, b.shape) if _LOWERS_TO_MATMUL else None
-    if lowering is not None:
+    if lowering is not None and len(lowering.matmul_shape) == 3:
         chunks = min(_CPUS, lowering.matmul_shape[0], lowering.work // CONTRACT_FLOOR)
         if chunks >= 2:
             return _lowered(lowering, a, b, chunks)
     return np.einsum(spec, a, b, optimize=True)
+
+
+def result_order(spec: str, a_shape: tuple, b_shape: tuple) -> str | None:
+    """The labels of `np.einsum(spec, a, b, optimize=True)`'s result, its
+    outermost axis in memory first, where numpy lowers the pair to one
+    matmul; else None."""
+    lowering = _lowering(spec, a_shape, b_shape) if _LOWERS_TO_MATMUL else None
+    return None if lowering is None else lowering.produced
+

@@ -309,6 +309,52 @@ class TestGraphLifetime:
         assert ops == {"var", "const", "add", "einsum", "features"}
 
 
+@pytest.mark.skipif(not kernels._LOWERS_TO_MATMUL,
+                    reason="this numpy does not lower a pair to one matmul")
+class TestJacobianLayout:
+    """J and the gradients of the layer factors come laid out for the
+    contractions that read them."""
+
+    @pytest.mark.parametrize("kind", ["kan", "mlp"])
+    def test_layouts_for_their_readers(self, kind):
+        rng = np.random.default_rng(0)
+        bb = fc.init_backbone(kind, [12, 8, 3], seed=0)
+        ds = WindowedDataset(rng.normal(size=(7, 12)), rng.normal(size=(7, 3)), 4)
+        graph = LossGraph(bb, ds, 1e-2)
+        nodes = reachable([graph.loss])
+        # J and sign(J): the penalty's dot reads them without a copy
+        jac = [n for n in nodes if n.shape == (7, 3, 12)]
+        assert len(jac) == 2 and all(n.value.flags.c_contiguous for n in jac)
+        # the batched (b, o, i) layer factors: a KAN's two, the MLP's second
+        factors = [n for n in nodes if n.op == "einsum" and n.shape in ((7, 8, 12), (7, 3, 8))]
+        assert len(factors) == (2 if kind == "kan" else 1)
+        for factor, grad in zip(factors, de.backward(graph.loss, factors)):
+            # a factor's backward batches over i, so the matmul operands that
+            # read its gradient are BLAS-ready only with another unit-stride axis
+            unit = int(np.argmin(grad.value.strides))
+            assert factor.batch_axes == (2,) and unit != 2
+            if kind == "kan":  # numpy lays the factor out as (i, b, o)
+                assert unit == int(np.argmin(factor.value.strides)) == 1
+
+    @pytest.mark.parametrize("kind", ["kan", "mlp"])
+    def test_same_gradients_without_layout_prediction(self, kind, monkeypatch):
+        # where numpy's layouts cannot be predicted, as on numpy 1, the
+        # engine keeps the upstream gradient first; gradients differ in
+        # rounding only
+        rng = np.random.default_rng(1)
+        bb = fc.init_backbone(kind, [12, 8, 3], seed=1)
+        ds = WindowedDataset(rng.normal(size=(7, 12)), rng.normal(size=(7, 3)), 4)
+
+        def gradients():
+            graph = LossGraph(bb, ds, 1e-2)
+            return [g.value for g in de.backward(graph.loss, graph.params)]
+
+        predicted = gradients()
+        monkeypatch.setattr(kernels, "_LOWERS_TO_MATMUL", False)
+        for got, want in zip(gradients(), predicted):
+            assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
 class TestKeepFreedMemory:
     def test_leaves_no_garbage(self):
         # train() and infer_gc_matrix() call it; a reference cycle per call

@@ -198,7 +198,7 @@ class TestBackward:
 EINSUM_SPECS = ["ij,jk->ik", "oi,k->oik", "oij,jk->oik", "oi,oij->oij", "bik,oik->bo",
                 "bi,oi->bo", "oik,bik->boi", "oi,bi->boi", "boh,bhi->boi", "boh,hi->boi",
                 "bo,bo->", "boi,boi->", ",->", "b,o->bo", "b,oi->boi", "bik,bik->bi",
-                "bi,bi->bi"]
+                "bi,bi->bi", "bhi,boh->boi", "hi,boh->boi"]
 
 
 class TestEinsum:
@@ -374,6 +374,76 @@ class TestContract:
             os.waitpid(pid, 0)
             pytest.fail("the forked child's contraction did not finish in 30 s")
         assert os.waitstatus_to_exitcode(done[1]) == 0
+
+
+def memory_order(labels, x):
+    """The labels of x's axes, its outermost axis in memory first."""
+    return "".join(sorted(labels, key=lambda ix: -x.strides[labels.index(ix)]))
+
+
+def relaid(x, rng):
+    """An array of x's shape and strides holding other values; x is a
+    permutation of a dense array."""
+    return np.ndarray(x.shape, x.dtype, rng.normal(size=x.size), strides=x.strides)
+
+
+def gradient_specs(y, g):
+    """y's vjp of the upstream gradient g: the specs it contracted and the
+    gradient values."""
+    specs = []
+    contract = de.contract
+
+    def recording(spec, a, b):
+        specs.append(spec)
+        return contract(spec, a, b)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(de, "contract", recording)
+        grads = y.vjp(de.constant(g))
+    return specs, [grad.value for grad in grads]
+
+
+class TestGradientOperandOrder:
+    """The backward rule of de.einsum contracts the upstream gradient g with
+    the other operand in either order, `out,so->st` (g first) or
+    `so,out->st`, whichever numpy lays out for the gradient's readers."""
+
+    @pytest.mark.skipif(not kernels._LOWERS_TO_MATMUL,
+                        reason="this numpy does not lower a pair to one matmul")
+    @settings(max_examples=200, deadline=None)
+    @given(case=contractions())
+    def test_result_order_is_numpy_layout(self, case):
+        spec, a, b = case
+        order = kernels.result_order(spec, a.shape, b.shape)
+        assert (order is None) == (1 in a.shape + b.shape)  # numpy's singletons
+        if order is not None:
+            assert memory_order(spec.split("->")[1], np.einsum(spec, a, b, optimize=True)) == order
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=contractions(), seed=st.integers(0, 2 ** 16), lowers=st.booleans())
+    def test_either_order_same_gradient(self, case, seed, lowers):
+        spec, a0, b0 = case
+        (sa, sb), out = spec.split("->")[0].split(","), spec.split("->")[1]
+        rng = np.random.default_rng(seed)
+        g0 = rng.normal(size=np.einsum(spec, a0, b0).shape)
+        with pytest.MonkeyPatch.context() as mp:
+            # a numpy whose layouts cannot be predicted keeps g first
+            mp.setattr(kernels, "_LOWERS_TO_MATMUL", kernels._LOWERS_TO_MATMUL and lowers)
+            y = de.einsum(spec, de.variable(a0), de.variable(b0))
+            specs, grads = gradient_specs(y, g0)
+            # the same shapes and strides, other values: the same orders
+            y2 = de.einsum(spec, de.variable(relaid(a0, rng)), de.variable(relaid(b0, rng)))
+            assert gradient_specs(y2, relaid(g0, rng))[0] == specs
+        assert set(specs) <= {f"{out},{sb}->{sa}", f"{sb},{out}->{sa}",
+                              f"{out},{sa}->{sb}", f"{sa},{out}->{sb}"}
+        for grad, so, st_, other in zip(grads, (sb, sa), (sa, sb), (b0, a0)):
+            first = np.einsum(f"{out},{so}->{st_}", g0, other, optimize=True)
+            second = np.einsum(f"{so},{out}->{st_}", other, g0, optimize=True)
+            assert relerr(second, first) <= 1e-14 and relerr(grad, first) <= 1e-14
+            if not (kernels._LOWERS_TO_MATMUL and lowers):
+                assert np.array_equal(grad, first)
+        if not (kernels._LOWERS_TO_MATMUL and lowers):
+            assert specs == [f"{out},{sb}->{sa}", f"{out},{sa}->{sb}"]
 
 
 def check_first_and_second_derivatives(op, a0, b0, rng):
