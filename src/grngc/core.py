@@ -12,9 +12,9 @@ import numpy as np
 from . import diffengine as de
 from .datagen import TimeSeries, WindowedDataset, make_windows, standardize
 from .forecasters import (KAN, MLP, Backbone, count_parameters, forward_graph,
-                          init_backbone, make_param_nodes, param_arrays,
-                          set_param_arrays)
-from .kernels import keep_freed_memory
+                          init_backbone, layer_weights, make_param_nodes,
+                          param_arrays, set_param_arrays)
+from .kernels import keep_freed_memory, run_concurrently
 from .splines import SplineSpec
 
 
@@ -88,7 +88,10 @@ class TrainReport:
     backbone: Backbone | None = None
 
 
-# windows per Jacobian block when scoring; bounds the memory of the layer factors
+# windows per Jacobian block when scoring, fixed so that the block sums, and
+# so the scores, are the same on any core count
+SCORE_BLOCK = 128
+# windows whose blocks are scored at once; bounds the memory of the layer factors
 SCORE_CHUNK = 256
 
 
@@ -123,16 +126,24 @@ class LossGraph:
 
 
 def infer_gc_matrix(backbone: Backbone, dataset: WindowedDataset) -> GcMatrix:
-    """Post-hoc causal scores: mean |input Jacobian| over samples and lags,
-    accumulated over blocks of SCORE_CHUNK windows."""
+    """Post-hoc causal scores: mean |input Jacobian| over samples and lags.
+    Blocks of SCORE_BLOCK windows run concurrently, SCORE_CHUNK windows at
+    most, and their sums are added in block order."""
     keep_freed_memory()
-    params = [de.constant(a) for a in param_arrays(backbone)]
-    total = np.zeros((backbone.output_dim, backbone.input_dim))
-    for block in _batches(dataset, SCORE_CHUNK):
+    weights = layer_weights(backbone, [de.constant(a) for a in param_arrays(backbone)])
+    blocks = list(_batches(dataset, SCORE_BLOCK))
+    sums = np.empty((len(blocks), backbone.output_dim, backbone.input_dim))
+
+    def abs_sum(i):
         # only this block's Jacobian array outlives the call, not its graph
-        jac = forward_graph(backbone, de.constant(block.inputs), params,
-                            _jacobian_only=True)[1].value
-        total += np.abs(jac, out=jac).sum(axis=0)
+        jac = forward_graph(backbone, de.constant(blocks[i].inputs), _jacobian_only=True,
+                            weights=weights)[1].value
+        np.abs(jac, out=jac).sum(axis=0, out=sums[i])
+
+    run_concurrently(abs_sum, len(blocks), SCORE_CHUNK // SCORE_BLOCK)
+    total = np.zeros((backbone.output_dim, backbone.input_dim))
+    for part in sums:
+        total += part
     per_lag = total.reshape(backbone.output_dim, dataset.lag, -1).sum(axis=1)
     return GcMatrix(per_lag / (dataset.n_samples * dataset.lag))
 

@@ -98,21 +98,43 @@ def make_param_nodes(backbone: Backbone) -> list[de.Node]:
     return [de.variable(a) for a in param_arrays(backbone)]
 
 
-def forward_graph(backbone: Backbone, x: de.Node, param_nodes: list[de.Node],
-                  jacobian: bool = False, _jacobian_only: bool = False):
+def layer_weights(backbone: Backbone, param_nodes: list[de.Node]) -> list[tuple]:
+    """(weight, bias) of each layer as nodes over the parameter nodes: the
+    MLP's own weight and bias, and the KAN's W = [w_base | w_spline * coef]
+    over the feature axis, with no bias."""
+    params = iter(param_nodes)
+    if backbone.kind == MLP:
+        return [(next(params), next(params)) for _ in backbone.layers]
+    k = backbone.spec.n_basis
+    weights = []
+    for _ in backbone.layers:
+        wb, ws, c = next(params), next(params), next(params)
+        w = de.add(de.einsum("oi,k->oik", wb, de.constant(np.eye(1, 1 + k)[0])),
+                   de.einsum("oij,jk->oik", de.einsum("oi,oij->oij", ws, c),
+                             de.constant(np.eye(k, 1 + k, 1))))
+        weights.append((w, None))
+    return weights
+
+
+def forward_graph(backbone: Backbone, x: de.Node, param_nodes: list[de.Node] | None = None,
+                  jacobian: bool = False, _jacobian_only: bool = False,
+                  weights: list[tuple] | None = None):
     """Prediction (batch, n_out) as a graph over the given input and parameter
     nodes, and with `jacobian` the per-sample input Jacobian
     J[b, o, i] = d pred[b, o] / d x[b, i] chained from the layer factors, as a
-    differentiable graph too; else None. `_jacobian_only`, for scoring,
-    builds the Jacobian alone: the last layer's features, output and bias go
-    unbuilt, and the prediction returned is None."""
+    differentiable graph too; else None. `weights`, from `layer_weights`,
+    stand in for the parameter nodes where many calls share them.
+    `_jacobian_only`, for scoring, builds the Jacobian alone: the last
+    layer's features, output and bias go unbuilt, and the prediction
+    returned is None."""
     if x.value.ndim != 2 or x.shape[1] != backbone.input_dim:
         raise BackboneError(f"forward: window shape {x.shape} incompatible with "
                             f"input_dim {backbone.input_dim}")
+    if weights is None:
+        weights = layer_weights(backbone, param_nodes)
     jacobian = jacobian or _jacobian_only
     ones = de.constant(np.ones(x.shape[0]))  # broadcasts over the batch
     h = x
-    params = iter(param_nodes)
     # (einsum spec, node) pairs that right-multiply the Jacobian from the output
     # side, each spec taking the factor first: numpy lays a lowered pair out
     # as batch labels, then the second operand's kept labels, then the
@@ -123,16 +145,7 @@ def forward_graph(backbone: Backbone, x: de.Node, param_nodes: list[de.Node],
     # the KAN features are [silu | B_0 ... B_{K-1}] on axis k, the MLP's
     # silu alone, and the MLP's first layer takes the raw input
     spec, f = (backbone.spec, "k") if backbone.kind == KAN else (None, "")
-    for li in range(len(backbone.layers)):
-        if backbone.kind == KAN:
-            wb, ws, c = next(params), next(params), next(params)
-            # W = [w_base | w_spline * coef] over the feature axis
-            k = backbone.spec.n_basis
-            w = de.add(de.einsum("oi,k->oik", wb, de.constant(np.eye(1, 1 + k)[0])),
-                       de.einsum("oij,jk->oik", de.einsum("oi,oij->oij", ws, c),
-                                 de.constant(np.eye(k, 1 + k, 1))))
-        else:
-            w, b = next(params), next(params)
+    for li, (w, b) in enumerate(weights):
         raw = backbone.kind == MLP and li == 0
         dfeat = None
         if jacobian and raw:
@@ -140,13 +153,13 @@ def forward_graph(backbone: Backbone, x: de.Node, param_nodes: list[de.Node],
         elif jacobian:
             dfeat = feature_node(h, spec, 1)
             factors.append(("bhi,boh->boi", de.einsum(f"oi{f},bi{f}->boi", w, dfeat)))
-        if _jacobian_only and li == len(backbone.layers) - 1:
+        if _jacobian_only and li == len(weights) - 1:
             h = None
             break
         if not raw:
             h = feature_node(h, spec, dfeat=dfeat)
         h = de.einsum(f"bi{f},oi{f}->bo", h, w)
-        if backbone.kind == MLP:
+        if b is not None:
             h = de.add(h, de.einsum("b,o->bo", ones, b))
     if not jacobian:
         return h, None

@@ -1,11 +1,14 @@
 """Hot numeric kernels, in numpy: B-spline basis evaluation, Lorenz-96
-integration and pairwise contractions split across cores."""
+integration, pairwise contractions split across cores, and independent jobs
+run concurrently."""
 from __future__ import annotations
 
 import ctypes
 import functools
+import itertools
 import math
 import os
+import threading
 from concurrent.futures import ThreadPoolExecutor
 from typing import NamedTuple
 
@@ -156,11 +159,23 @@ _CPUS = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
 
 
 def _new_pool() -> None:
-    """Make the pool of split contractions; its threads start at the first
-    split. A forked child makes its own: it inherits the pool's thread
-    objects but none of its threads, so work submitted there never runs."""
+    """Make the pool of split contractions and concurrent jobs; its threads
+    start at the first submit. A forked child makes its own: it inherits the
+    pool's thread objects but none of its threads, so work submitted there
+    never runs. glibc malloc is capped at one arena first (M_ARENA_MAX), so a
+    pool thread allocates from the heap the main thread has freed, not from
+    an arena of its own whose pages fault in anew."""
     global _POOL
-    _POOL = ThreadPoolExecutor(max(_CPUS - 1, 1), thread_name_prefix="grngc-contract")
+    if _MALLOPT is not None:
+        _MALLOPT(-8, 1)
+    _POOL = ThreadPoolExecutor(max(_CPUS - 1, 1), thread_name_prefix="grngc-pool")
+
+
+class _Local(threading.local):
+    whole = False  # set while this thread runs calls of `run_concurrently` at once
+
+
+_LOCAL = _Local()
 
 
 _new_pool()
@@ -286,14 +301,54 @@ def contract(spec: str, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     along the batch axis. Each chunk holds at least CONTRACT_FLOOR
     multiply-adds. np.einsum runs the pair whole where fewer than two such
     chunks fit, where `_lowering` gives none, where the pair has no batch
-    label (a row split changes the result of a multi-threaded BLAS), or
-    where numpy does not lower a pair to one matmul."""
+    label (a row split changes the result of a multi-threaded BLAS), where
+    numpy does not lower a pair to one matmul, or inside calls that
+    `run_concurrently` runs at once."""
     lowering = _lowering(spec, a.shape, b.shape) if _LOWERS_TO_MATMUL else None
-    if lowering is not None and len(lowering.matmul_shape) == 3:
+    if lowering is not None and len(lowering.matmul_shape) == 3 and not _LOCAL.whole:
         chunks = min(_CPUS, lowering.matmul_shape[0], lowering.work // CONTRACT_FLOOR)
         if chunks >= 2:
             return _lowered(lowering, a, b, chunks)
     return np.einsum(spec, a, b, optimize=True)
+
+
+def run_concurrently(job, count: int, width: int) -> None:
+    """Call job(0), ..., job(count - 1), up to `width` calls, and no more than
+    the usable CPUs, at once: the calling thread and the pool each take the
+    next index as they come free. Where calls run at once, contractions
+    inside them run whole, since a pool thread that split one would wait on
+    chunks queued behind its own call. The first exception stops the taking
+    of indices and is raised, unchanged, once every running call has ended."""
+    width = min(width, _CPUS, count)
+    if width < 2:
+        for i in range(count):
+            job(i)
+        return
+    taken = itertools.count()  # next() on it is atomic under the GIL
+    failed = threading.Event()
+
+    def take():
+        _LOCAL.whole = True
+        try:
+            while not failed.is_set():
+                i = next(taken)
+                if i >= count:
+                    return
+                job(i)
+        except BaseException:
+            failed.set()
+            raise
+        finally:
+            _LOCAL.whole = False
+
+    pending = [_POOL.submit(take) for _ in range(width - 1)]
+    try:
+        take()
+    finally:
+        for other in pending:
+            other.exception()  # waits; an exception of the caller's own goes first
+    for other in pending:
+        other.result()
 
 
 def result_order(spec: str, a_shape: tuple, b_shape: tuple) -> str | None:

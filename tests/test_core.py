@@ -6,6 +6,8 @@ import platform
 import resource
 import subprocess
 import sys
+import threading
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -15,9 +17,9 @@ import grngc
 import grngc.diffengine as de
 from finite_difference import finite_difference
 from grngc import forecasters as fc
-from grngc import kernels
+from grngc import core, kernels
 from grngc.cli import write_outputs
-from grngc.core import (SCORE_CHUNK, LossGraph, TrainConfig,
+from grngc.core import (SCORE_BLOCK, SCORE_CHUNK, LossGraph, TrainConfig,
                         TrainError, infer_gc_matrix, prediction_loss, train)
 from grngc.datagen import (TimeSeries, WindowedDataset, random_sparse_var1,
                            simulate_var)
@@ -381,6 +383,38 @@ class TestKeepFreedMemory:
                               capture_output=True, text=True, timeout=60)
         assert done.returncode == 0, done.stderr
 
+    @pytest.mark.skipif(platform.libc_ver()[0] != "glibc", reason="glibc malloc only")
+    def test_pool_blocks_reuse_the_freed_heap(self):
+        # a training step frees far more heap than two scoring blocks take;
+        # in one malloc arena the pool thread's blocks reuse it, where an
+        # arena of the pool thread's own faulted in over 3200 pages
+        code = "\n".join([
+            "import resource",
+            "import numpy as np",
+            "import grngc.diffengine as de",
+            "from grngc import forecasters as fc, kernels",
+            "from grngc.core import LossGraph, infer_gc_matrix",
+            "from grngc.datagen import WindowedDataset",
+            "kernels._CPUS = 2",
+            "kernels.keep_freed_memory()",
+            "rng = np.random.default_rng(0)",
+            "bb = fc.init_backbone('kan', [100, 128, 20], seed=0)",
+            "step = WindowedDataset(rng.normal(size=(256, 100)), rng.normal(size=(256, 20)), 5)",
+            "graph = LossGraph(bb, step, 1e-3)",
+            "de.backward(graph.loss, graph.params)",
+            "del graph",
+            "n = 4 * 256",
+            "ds = WindowedDataset(rng.normal(size=(n, 100)), rng.normal(size=(n, 20)), 5)",
+            "before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt",
+            "infer_gc_matrix(bb, ds)",
+            "print(resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before)",
+        ])
+        env = {**os.environ, "PYTHONPATH": str(Path(grngc.__file__).parents[1])}
+        done = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert int(done.stdout) < 1000
+
 
 class TestReplayExactness:
     """Single-pass Jacobian against one backward replay per output series."""
@@ -503,6 +537,103 @@ class TestInferGcMatrix:
         ds = WindowedDataset(rng.normal(size=(10, 6)), rng.normal(size=(10, 3)), lag=2)
         gc = infer_gc_matrix(bb, ds)
         assert np.all(gc.scores >= 0.0) and np.all(np.isfinite(gc.scores))
+
+
+class TestConcurrentScoring:
+    """Blocks of SCORE_BLOCK windows scored on the calling thread and the
+    pool at once."""
+
+    @staticmethod
+    def case():
+        # lag 5, p=20, hidden 128: J = F2.F1 of one block is seven floors of
+        # multiply-adds, so a block scored alone splits it
+        rng = np.random.default_rng(21)
+        bb = fc.init_backbone("kan", [100, 128, 20], seed=21)
+        n = 2 * SCORE_BLOCK + 37
+        return bb, WindowedDataset(rng.uniform(-3, 3, (n, 100)), rng.normal(size=(n, 20)), 5)
+
+    @staticmethod
+    def record_threads(monkeypatch, fail=None):
+        """Record the thread of each block's forward_graph call; with `fail`,
+        raise it from the blocks off the calling thread."""
+        idents, caller = [], threading.get_ident()
+        forward_graph = core.forward_graph
+
+        def recording(*args, **kwargs):
+            idents.append(threading.get_ident())
+            if fail is not None and idents[-1] != caller:
+                raise fail
+            return forward_graph(*args, **kwargs)
+
+        monkeypatch.setattr(core, "forward_graph", recording)
+        return idents
+
+    def test_same_on_one_two_or_three_cpus(self, monkeypatch):
+        bb, ds = self.case()
+        scores = []
+        for cpus in (1, 2, 3):
+            monkeypatch.setattr(kernels, "_CPUS", cpus)
+            scores.append(infer_gc_matrix(bb, ds).scores)
+        assert np.array_equal(scores[0], scores[1])
+        assert np.array_equal(scores[0], scores[2])
+
+    def test_blocks_run_on_two_threads(self, monkeypatch):
+        idents = self.record_threads(monkeypatch)
+        monkeypatch.setattr(kernels, "_CPUS", 2)
+        infer_gc_matrix(*self.case())
+        assert len(idents) == 3 and len(set(idents)) == 2
+
+    def test_contractions_in_blocks_run_whole(self, monkeypatch):
+        chunks = []
+        lowered = kernels._lowered
+
+        def recording(lowering, a, b, n):
+            chunks.append(n)
+            return lowered(lowering, a, b, n)
+
+        monkeypatch.setattr(kernels, "_lowered", recording)
+        monkeypatch.setattr(kernels, "_CPUS", 2)
+        bb, ds = self.case()
+        one = WindowedDataset(ds.inputs[:SCORE_BLOCK], ds.targets[:SCORE_BLOCK], ds.lag)
+        infer_gc_matrix(bb, one)  # a single block runs alone and splits
+        assert max(chunks, default=1) == (2 if kernels._LOWERS_TO_MATMUL else 1)
+        chunks.clear()
+        # a split inside a pool block would wait on its own thread for ever
+        scored = []
+        scoring = threading.Thread(target=lambda: scored.append(infer_gc_matrix(bb, ds)),
+                                   daemon=True)
+        scoring.start()
+        scoring.join(timeout=60)
+        assert not scoring.is_alive() and scored
+        assert max(chunks, default=1) == 1
+
+    def test_each_index_runs_once(self, monkeypatch):
+        # five threads on the cores there are, switching as often as they can
+        pool = ThreadPoolExecutor(4)
+        monkeypatch.setattr(kernels, "_POOL", pool)
+        monkeypatch.setattr(kernels, "_CPUS", 5)
+        seen = []
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            caller = threading.Thread(target=kernels.run_concurrently,
+                                      args=(seen.append, 2000, 5), daemon=True)
+            caller.start()
+            caller.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+            pool.shutdown(wait=False)
+        assert not caller.is_alive()
+        assert sorted(seen) == list(range(2000))
+
+    def test_pool_error_comes_out_unchanged(self, monkeypatch):
+        error = fc.BackboneError("raised in a pool block")
+        idents = self.record_threads(monkeypatch, fail=error)
+        monkeypatch.setattr(kernels, "_CPUS", 2)
+        with pytest.raises(fc.BackboneError) as raised:
+            infer_gc_matrix(*self.case())
+        assert raised.value is error
+        assert len(set(idents)) == 2
 
 
 class TestTrain:
