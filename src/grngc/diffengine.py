@@ -112,11 +112,11 @@ def _gradient(g: Node, out: str, other: Node, so: str, target: Node, st: str) ->
     """The gradient of `target` (labels st) through its contraction with
     `other` (labels so), from the upstream gradient g (labels out):
     `einsum(out,so->st)(g, other)`, or `einsum(so,out->st)(other, g)`, which
-    differs in rounding only. The second is taken where numpy lays its
+    differs in rounding only. The second is taken where `contract` lays its
     result out in the order the gradient's readers want and the first's is
     not, or failing that, where only the second gives it their unit-stride
     axis. That order puts the target's batch axes outermost and then follows
-    its value's memory order. Where numpy's layout cannot be predicted, g
+    its value's memory order. For a spec `contract` has no lowering for, g
     stays first."""
     strides = target.value.strides
     want = "".join(st[k] for k in sorted(

@@ -136,9 +136,9 @@ def forward_graph(backbone: Backbone, x: de.Node, param_nodes: list[de.Node] | N
     ones = de.constant(np.ones(x.shape[0]))  # broadcasts over the batch
     h = x
     # (einsum spec, node) pairs that right-multiply the Jacobian from the output
-    # side, each spec taking the factor first: numpy lays a lowered pair out
-    # as batch labels, then the second operand's kept labels, then the
-    # first's (kernels.result_order), so J comes out C-ordered for the
+    # side, each spec taking the factor first: contract lays a pair out as
+    # batch labels, then the second operand's kept labels, then the first's
+    # (kernels.result_order), so J comes out C-ordered for the
     # penalty and its sign
     factors = []
     # a layer is einsum(features of h, W) over the input and feature axes;

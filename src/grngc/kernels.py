@@ -147,7 +147,7 @@ def lorenz96_trajectory(x0: np.ndarray, forcing: float, dt: float, n_steps: int)
 
 
 # ---------------------------------------------------------------------------
-# Pairwise contractions: numpy's own matmul lowering, split across cores.
+# Pairwise contractions: one cached matmul lowering, split across cores.
 # ---------------------------------------------------------------------------
 
 # multiply-adds below which one more chunk costs more in thread hand-off than
@@ -184,10 +184,10 @@ if hasattr(os, "register_at_fork"):
 
 
 class _Lowering(NamedTuple):
-    """`np.einsum(spec, a, b, optimize=True)` as numpy 2 runs it: the pair
-    taken as (b, a), each operand permuted by a one-operand einsum and
-    reshaped, one matmul, batched or not, and its result reshaped and
-    transposed."""
+    """A pairwise contraction as one matmul: the pair taken as (b, a), each
+    operand permuted by a one-operand einsum and reshaped, one matmul,
+    batched or not, and its result reshaped and transposed. These are the
+    steps numpy 2's `np.einsum(spec, a, b, optimize=True)` runs."""
     eq_left: str | None      # applied to b
     shape_left: tuple | None
     eq_right: str | None     # applied to a
@@ -201,10 +201,10 @@ class _Lowering(NamedTuple):
 
 @functools.lru_cache(maxsize=1024)
 def _lowering(spec: str, a_shape: tuple, b_shape: tuple) -> _Lowering | None:
-    """The matmul lowering of an explicit two-operand spec, or None where
-    numpy runs no matmul (no contracted label: it multiplies) or where this
-    model leaves the spec to np.einsum: a size-1 axis (numpy's singletons)
-    or a spec np.einsum must judge."""
+    """The matmul lowering of an explicit two-operand spec, or None for a
+    spec `contract` has no lowering for: no summed label (a product, not a
+    matmul), a size-1 axis, or a spec np.einsum must judge (`...`, or
+    labels and shapes that do not match)."""
     spec = spec.replace(" ", "")
     if "." in spec or spec.count("->") != 1 or spec.count(",") != 1:
         return None
@@ -253,9 +253,10 @@ def _lowering(spec: str, a_shape: tuple, b_shape: tuple) -> _Lowering | None:
 
 
 def _lowered(lowering: _Lowering, a: np.ndarray, b: np.ndarray, chunks: int) -> np.ndarray:
-    """Run a batched lowering, its matmul split into `chunks` along the batch
-    axis: the caller computes the first chunk and the pool the rest. Each
-    chunk makes the same per-matrix BLAS calls as the whole matmul."""
+    """Run a lowering, its matmul whole where `chunks` is below 2 and else
+    split into `chunks` along the batch axis: the caller computes the first
+    chunk and the pool the rest. Each chunk makes the same per-matrix BLAS
+    calls as the whole matmul."""
     x, y = b, a
     if lowering.eq_left is not None:
         x = np.einsum(lowering.eq_left, x)
@@ -265,15 +266,18 @@ def _lowered(lowering: _Lowering, a: np.ndarray, b: np.ndarray, chunks: int) -> 
         y = np.einsum(lowering.eq_right, y)
     if lowering.shape_right is not None:
         y = y.reshape(lowering.shape_right)
-    ab = np.empty(lowering.matmul_shape, dtype=np.result_type(x, y))
-    edges = [ab.shape[0] * c // chunks for c in range(chunks + 1)]
-    parts = [(x[lo:hi], y[lo:hi], ab[lo:hi]) for lo, hi in zip(edges[:-1], edges[1:])]
-    # np.matmul releases the GIL
-    pending = [_POOL.submit(np.matmul, xs, ys, out=out) for xs, ys, out in parts[1:]]
-    xs, ys, out = parts[0]
-    np.matmul(xs, ys, out=out)
-    for job in pending:
-        job.result()
+    if chunks < 2:
+        ab = np.matmul(x, y)
+    else:
+        ab = np.empty(lowering.matmul_shape, dtype=np.result_type(x, y))
+        edges = [ab.shape[0] * c // chunks for c in range(chunks + 1)]
+        parts = [(x[lo:hi], y[lo:hi], ab[lo:hi]) for lo, hi in zip(edges[:-1], edges[1:])]
+        # np.matmul releases the GIL
+        pending = [_POOL.submit(np.matmul, xs, ys, out=out) for xs, ys, out in parts[1:]]
+        xs, ys, out = parts[0]
+        np.matmul(xs, ys, out=out)
+        for job in pending:
+            job.result()
     if lowering.shape_out is not None:
         ab = ab.reshape(lowering.shape_out)
     if lowering.perm_out is not None:
@@ -281,35 +285,22 @@ def _lowered(lowering: _Lowering, a: np.ndarray, b: np.ndarray, chunks: int) -> 
     return ab
 
 
-def _numpy_lowers_to_matmul() -> bool:
-    """Whether np.einsum(..., optimize=True) runs a pair as `_Lowering` says,
-    judged on a probe whose result numpy lays out transposed."""
-    spec = "oik,bik->boi"
-    a = np.linspace(-1.0, 1.0, 2 * 3 * 37).reshape(2, 3, 37)
-    b = np.cos(np.arange(5 * 3 * 37.0)).reshape(5, 3, 37)
-    want = np.einsum(spec, a, b, optimize=True)
-    got = _lowered(_lowering(spec, a.shape, b.shape), a, b, 1)
-    return got.strides == want.strides and np.array_equal(got, want)
-
-
-_LOWERS_TO_MATMUL = _numpy_lowers_to_matmul()
-
-
 def contract(spec: str, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """`np.einsum(spec, a, b, optimize=True)`, equal to it in values, shape
-    and strides, with its batched matmul split into one chunk per usable CPU
-    along the batch axis. Each chunk holds at least CONTRACT_FLOOR
-    multiply-adds. np.einsum runs the pair whole where fewer than two such
-    chunks fit, where `_lowering` gives none, where the pair has no batch
-    label (a row split changes the result of a multi-threaded BLAS), where
-    numpy does not lower a pair to one matmul, or inside calls that
-    `run_concurrently` runs at once."""
-    lowering = _lowering(spec, a.shape, b.shape) if _LOWERS_TO_MATMUL else None
-    if lowering is not None and len(lowering.matmul_shape) == 3 and not _LOCAL.whole:
+    """The contraction `np.einsum(spec, a, b)`, run as its `_lowering`: one
+    matmul, laid out as `result_order` says. A batched matmul is split into
+    one chunk per usable CPU along the batch axis, each chunk holding at
+    least CONTRACT_FLOOR multiply-adds. It runs whole where fewer than two
+    such chunks fit, where the pair has no batch label (a row split changes
+    the result of a multi-threaded BLAS), or inside calls that
+    `run_concurrently` runs at once. `np.einsum(spec, a, b, optimize=True)`
+    runs a spec `contract` has no lowering for."""
+    lowering = _lowering(spec, a.shape, b.shape)
+    if lowering is None:
+        return np.einsum(spec, a, b, optimize=True)
+    chunks = 1
+    if len(lowering.matmul_shape) == 3 and not _LOCAL.whole:
         chunks = min(_CPUS, lowering.matmul_shape[0], lowering.work // CONTRACT_FLOOR)
-        if chunks >= 2:
-            return _lowered(lowering, a, b, chunks)
-    return np.einsum(spec, a, b, optimize=True)
+    return _lowered(lowering, a, b, chunks)
 
 
 def run_concurrently(job, count: int, width: int) -> None:
@@ -352,9 +343,7 @@ def run_concurrently(job, count: int, width: int) -> None:
 
 
 def result_order(spec: str, a_shape: tuple, b_shape: tuple) -> str | None:
-    """The labels of `np.einsum(spec, a, b, optimize=True)`'s result, its
-    outermost axis in memory first, where numpy lowers the pair to one
-    matmul; else None."""
-    lowering = _lowering(spec, a_shape, b_shape) if _LOWERS_TO_MATMUL else None
+    """The labels of `contract(spec, a, b)`'s result, its outermost axis in
+    memory first, or None for a spec `contract` has no lowering for."""
+    lowering = _lowering(spec, a_shape, b_shape)
     return None if lowering is None else lowering.produced
-

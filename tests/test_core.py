@@ -311,8 +311,6 @@ class TestGraphLifetime:
         assert ops == {"var", "const", "add", "einsum", "features"}
 
 
-@pytest.mark.skipif(not kernels._LOWERS_TO_MATMUL,
-                    reason="this numpy does not lower a pair to one matmul")
 class TestJacobianLayout:
     """J and the gradients of the layer factors come laid out for the
     contractions that read them."""
@@ -335,26 +333,8 @@ class TestJacobianLayout:
             # read its gradient are BLAS-ready only with another unit-stride axis
             unit = int(np.argmin(grad.value.strides))
             assert factor.batch_axes == (2,) and unit != 2
-            if kind == "kan":  # numpy lays the factor out as (i, b, o)
+            if kind == "kan":  # contract lays the factor out as (i, b, o)
                 assert unit == int(np.argmin(factor.value.strides)) == 1
-
-    @pytest.mark.parametrize("kind", ["kan", "mlp"])
-    def test_same_gradients_without_layout_prediction(self, kind, monkeypatch):
-        # where numpy's layouts cannot be predicted, as on numpy 1, the
-        # engine keeps the upstream gradient first; gradients differ in
-        # rounding only
-        rng = np.random.default_rng(1)
-        bb = fc.init_backbone(kind, [12, 8, 3], seed=1)
-        ds = WindowedDataset(rng.normal(size=(7, 12)), rng.normal(size=(7, 3)), 4)
-
-        def gradients():
-            graph = LossGraph(bb, ds, 1e-2)
-            return [g.value for g in de.backward(graph.loss, graph.params)]
-
-        predicted = gradients()
-        monkeypatch.setattr(kernels, "_LOWERS_TO_MATMUL", False)
-        for got, want in zip(gradients(), predicted):
-            assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
 
 
 class TestKeepFreedMemory:
@@ -588,7 +568,8 @@ class TestConcurrentScoring:
         lowered = kernels._lowered
 
         def recording(lowering, a, b, n):
-            chunks.append(n)
+            if n >= 2:  # a split, not a whole matmul
+                chunks.append(n)
             return lowered(lowering, a, b, n)
 
         monkeypatch.setattr(kernels, "_lowered", recording)
@@ -596,7 +577,7 @@ class TestConcurrentScoring:
         bb, ds = self.case()
         one = WindowedDataset(ds.inputs[:SCORE_BLOCK], ds.targets[:SCORE_BLOCK], ds.lag)
         infer_gc_matrix(bb, one)  # a single block runs alone and splits
-        assert max(chunks, default=1) == (2 if kernels._LOWERS_TO_MATMUL else 1)
+        assert max(chunks, default=1) == 2
         chunks.clear()
         # a split inside a pool block would wait on its own thread for ever
         scored = []
@@ -656,7 +637,8 @@ class TestTrain:
         lowered = kernels._lowered
 
         def recording(lowering, a, b, n):
-            chunks.append(n)
+            if n >= 2:  # a split, not a whole matmul
+                chunks.append(n)
             return lowered(lowering, a, b, n)
 
         monkeypatch.setattr(kernels, "_lowered", recording)
@@ -664,8 +646,7 @@ class TestTrain:
         for cpus in (1, 3):
             monkeypatch.setattr(kernels, "_CPUS", cpus)
             reports[cpus] = train(series, cfg)
-            split = cpus if kernels._LOWERS_TO_MATMUL else 1  # else np.einsum runs all
-            assert (max(chunks) if chunks else 1) == split
+            assert (max(chunks) if chunks else 1) == cpus
         assert np.array_equal(reports[1].gc.scores, reports[3].gc.scores)
         for p1, p3 in zip(fc.param_arrays(reports[1].backbone),
                           fc.param_arrays(reports[3].backbone)):

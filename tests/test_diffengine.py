@@ -240,7 +240,28 @@ def same_array(got, want):
             and np.array_equal(got, want))
 
 
-def recorded_contractions():
+def memory_order(labels, x):
+    """The labels of x's axes, its outermost axis in memory first."""
+    return "".join(sorted(labels, key=lambda ix: -x.strides[labels.index(ix)]))
+
+
+def numpy_lowers_like_contract():
+    """Whether np.einsum(..., optimize=True) runs a pair as kernels.contract
+    does, as numpy 2 does and numpy 1.24 does not; judged on a pair whose
+    result comes out transposed."""
+    spec = "oik,bik->boi"
+    a = np.linspace(-1.0, 1.0, 2 * 3 * 37).reshape(2, 3, 37)
+    b = np.cos(np.arange(5 * 3 * 37.0)).reshape(5, 3, 37)
+    return same_array(kernels.contract(spec, a, b), np.einsum(spec, a, b, optimize=True))
+
+
+LOWERS_LIKE_NUMPY = numpy_lowers_like_contract()
+like_numpy = pytest.mark.skipif(not LOWERS_LIKE_NUMPY,
+                                reason="this numpy's einsum does not lower a pair as contract does")
+
+
+@pytest.fixture(scope="module")
+def recorded():
     """Every (spec, a, b) that de.einsum contracts in a p=30 KAN training
     step, a p=20 KAN scoring block and a p=20 MLP training step (batch 256,
     hidden 128, lag 5)."""
@@ -265,9 +286,24 @@ def recorded_contractions():
     return calls
 
 
+@pytest.fixture
+def splits(monkeypatch):
+    """Chunk counts of the contractions that were split."""
+    chunks = []
+    lowered = kernels._lowered
+
+    def recording(lowering, a, b, n):
+        if n >= 2:
+            chunks.append(n)
+        return lowered(lowering, a, b, n)
+
+    monkeypatch.setattr(kernels, "_lowered", recording)
+    return chunks
+
+
 # labels of each role in a random contraction: in both operands and the
 # output, in a and the output, in b and the output, in both operands only
-ROLES = ("batch", "keep_a", "keep_b", "summed")
+ROLES =("batch", "keep_a", "keep_b", "summed")
 
 
 @st.composite
@@ -292,46 +328,43 @@ def contractions(draw):
     return f"{''.join(sa)},{''.join(sb)}->{''.join(out)}", operand(sa), operand(sb)
 
 
-@pytest.mark.skipif(not kernels._LOWERS_TO_MATMUL,
-                    reason="this numpy does not lower a pair to one matmul")
+def check_contract(spec, a, b, want=None):
+    """kernels.contract(spec, a, b) against np.einsum(..., optimize=False),
+    or against `want`, to 1e-12 relative, laid out as result_order says."""
+    got = kernels.contract(spec, a, b)
+    want = np.einsum(spec, a, b, optimize=False) if want is None else want
+    assert got.shape == want.shape and relerr(got, want) <= 1e-12, spec
+    order = kernels.result_order(spec, a.shape, b.shape)
+    if order is not None:
+        assert memory_order(spec.split("->")[1], got) == order, spec
+    return got
+
+
 class TestContract:
-    """kernels.contract against np.einsum(..., optimize=True): the same
-    values, shape and strides on any number of chunks."""
+    """kernels.contract on any numpy: np.einsum's values to rounding, laid
+    out as kernels.result_order says, on any number of chunks."""
 
-    @pytest.fixture
-    def splits(self, monkeypatch):
-        """Chunk counts of the contractions that took the split path."""
-        chunks = []
-        lowered = kernels._lowered
-
-        def recording(lowering, a, b, n):
-            chunks.append(n)
-            return lowered(lowering, a, b, n)
-
-        monkeypatch.setattr(kernels, "_lowered", recording)
-        return chunks
-
-    def test_model_contractions_equal_numpy(self, splits, monkeypatch):
-        recorded = recorded_contractions()
-        for cpus in (2, 3):
+    def test_model_contractions_match_einsum(self, recorded, splits, monkeypatch):
+        wants = [np.einsum(spec, a, b, optimize=False) for spec, a, b in recorded]
+        for cpus in (1, 2, 3):
             monkeypatch.setattr(kernels, "_CPUS", cpus)
             splits.clear()
-            for spec, a, b in recorded:
-                assert same_array(kernels.contract(spec, a, b),
-                                  np.einsum(spec, a, b, optimize=True)), spec
+            for (spec, a, b), want in zip(recorded, wants):
+                check_contract(spec, a, b, want)
             # at least the first-layer factor, J = F2.F1 and their gradients at p=30
-            assert len(splits) >= 5 and max(splits) == cpus
+            assert len(splits) >= (5 if cpus > 1 else 0) and max(splits, default=1) == cpus
 
     @settings(max_examples=200, deadline=None)
     @given(case=contractions(), cpus=st.integers(1, 3), floor=st.sampled_from([1, 64, 4096]))
-    def test_random_contractions_equal_numpy(self, case, cpus, floor):
+    def test_random_contractions_match_einsum(self, case, cpus, floor):
         # a low floor puts small operands on both sides of it
         spec, a, b = case
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(kernels, "_CPUS", cpus)
             mp.setattr(kernels, "CONTRACT_FLOOR", floor)
-            assert same_array(kernels.contract(spec, a, b),
-                              np.einsum(spec, a, b, optimize=True))
+            check_contract(spec, a, b)
+        order = kernels.result_order(spec, a.shape, b.shape)
+        assert (order is None) == (1 in a.shape + b.shape)  # the only specs without a lowering
 
     @pytest.mark.parametrize("spec,shapes,chunks", [
         ("bij,bjk->bik", ((4, 128, 128), (4, 128, 128)), [2]),   # 2 floors of work
@@ -339,14 +372,13 @@ class TestContract:
         ("bij,bjk->bik", ((3, 256, 128), (3, 128, 128)), [3]),   # 3 floors
         ("ij,jk->ik", ((512, 128), (128, 192)), []),             # no batch label
         ("bij,bjk->bik", ((2, 1024, 128), (2, 128, 128)), [2]),  # a batch of 2 bounds it
-        ("bij,bjk->bik", ((4, 128, 1), (4, 1, 8192)), []),       # numpy's size-1 singleton
-        ("bi,bk->bik", ((4, 2048), (4, 2048)), []),              # no label summed
+        ("bij,bjk->bik", ((4, 128, 1), (4, 1, 8192)), []),       # a size-1 axis: np.einsum
+        ("bi,bk->bik", ((4, 2048), (4, 2048)), []),              # no label summed: np.einsum
     ])
     def test_chunks_at_the_floor(self, spec, shapes, chunks, splits, monkeypatch):
         monkeypatch.setattr(kernels, "_CPUS", 3)
         rng = np.random.default_rng(1)
-        a, b = rng.normal(size=shapes[0]), rng.normal(size=shapes[1])
-        assert same_array(kernels.contract(spec, a, b), np.einsum(spec, a, b, optimize=True))
+        check_contract(spec, rng.normal(size=shapes[0]), rng.normal(size=shapes[1]))
         assert splits == chunks
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="POSIX fork only")
@@ -355,8 +387,7 @@ class TestContract:
         monkeypatch.setattr(kernels, "_CPUS", 2)
         rng = np.random.default_rng(2)
         a, b = rng.normal(size=(4, 128, 128)), rng.normal(size=(4, 128, 128))
-        want = np.einsum("bij,bjk->bik", a, b, optimize=True)
-        assert same_array(kernels.contract("bij,bjk->bik", a, b), want)
+        want = check_contract("bij,bjk->bik", a, b)
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", DeprecationWarning)  # fork of a threaded process
             pid = os.fork()
@@ -376,9 +407,28 @@ class TestContract:
         assert os.waitstatus_to_exitcode(done[1]) == 0
 
 
-def memory_order(labels, x):
-    """The labels of x's axes, its outermost axis in memory first."""
-    return "".join(sorted(labels, key=lambda ix: -x.strides[labels.index(ix)]))
+@like_numpy
+class TestContractEqualsNumpy:
+    """Where numpy's einsum lowers a pair as contract does, kernels.contract
+    equals np.einsum(..., optimize=True) in values, shape and strides on any
+    number of chunks."""
+
+    def test_model_contractions_equal_numpy(self, recorded, monkeypatch):
+        for cpus in (1, 2, 3):
+            monkeypatch.setattr(kernels, "_CPUS", cpus)
+            for spec, a, b in recorded:
+                assert same_array(kernels.contract(spec, a, b),
+                                  np.einsum(spec, a, b, optimize=True)), spec
+
+    @settings(max_examples=200, deadline=None)
+    @given(case=contractions(), cpus=st.integers(1, 3), floor=st.sampled_from([1, 64, 4096]))
+    def test_random_contractions_equal_numpy(self, case, cpus, floor):
+        spec, a, b = case
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(kernels, "_CPUS", cpus)
+            mp.setattr(kernels, "CONTRACT_FLOOR", floor)
+            assert same_array(kernels.contract(spec, a, b),
+                              np.einsum(spec, a, b, optimize=True))
 
 
 def relaid(x, rng):
@@ -406,43 +456,42 @@ def gradient_specs(y, g):
 class TestGradientOperandOrder:
     """The backward rule of de.einsum contracts the upstream gradient g with
     the other operand in either order, `out,so->st` (g first) or
-    `so,out->st`, whichever numpy lays out for the gradient's readers."""
+    `so,out->st`, whichever contract lays out for the gradient's readers."""
 
-    @pytest.mark.skipif(not kernels._LOWERS_TO_MATMUL,
-                        reason="this numpy does not lower a pair to one matmul")
+    @like_numpy
     @settings(max_examples=200, deadline=None)
     @given(case=contractions())
     def test_result_order_is_numpy_layout(self, case):
         spec, a, b = case
         order = kernels.result_order(spec, a.shape, b.shape)
-        assert (order is None) == (1 in a.shape + b.shape)  # numpy's singletons
         if order is not None:
             assert memory_order(spec.split("->")[1], np.einsum(spec, a, b, optimize=True)) == order
 
     @settings(max_examples=200, deadline=None)
-    @given(case=contractions(), seed=st.integers(0, 2 ** 16), lowers=st.booleans())
-    def test_either_order_same_gradient(self, case, seed, lowers):
+    @given(case=contractions(), seed=st.integers(0, 2 ** 16))
+    def test_either_order_same_gradient(self, case, seed):
         spec, a0, b0 = case
         (sa, sb), out = spec.split("->")[0].split(","), spec.split("->")[1]
         rng = np.random.default_rng(seed)
         g0 = rng.normal(size=np.einsum(spec, a0, b0).shape)
-        with pytest.MonkeyPatch.context() as mp:
-            # a numpy whose layouts cannot be predicted keeps g first
-            mp.setattr(kernels, "_LOWERS_TO_MATMUL", kernels._LOWERS_TO_MATMUL and lowers)
-            y = de.einsum(spec, de.variable(a0), de.variable(b0))
-            specs, grads = gradient_specs(y, g0)
-            # the same shapes and strides, other values: the same orders
-            y2 = de.einsum(spec, de.variable(relaid(a0, rng)), de.variable(relaid(b0, rng)))
-            assert gradient_specs(y2, relaid(g0, rng))[0] == specs
+        y = de.einsum(spec, de.variable(a0), de.variable(b0))
+        specs, grads = gradient_specs(y, g0)
+        # the same shapes and strides, other values: the same orders
+        y2 = de.einsum(spec, de.variable(relaid(a0, rng)), de.variable(relaid(b0, rng)))
+        assert gradient_specs(y2, relaid(g0, rng))[0] == specs
         assert set(specs) <= {f"{out},{sb}->{sa}", f"{sb},{out}->{sa}",
                               f"{out},{sa}->{sb}", f"{sa},{out}->{sb}"}
         for grad, so, st_, other in zip(grads, (sb, sa), (sa, sb), (b0, a0)):
             first = np.einsum(f"{out},{so}->{st_}", g0, other, optimize=True)
             second = np.einsum(f"{so},{out}->{st_}", other, g0, optimize=True)
-            assert relerr(second, first) <= 1e-14 and relerr(grad, first) <= 1e-14
-            if not (kernels._LOWERS_TO_MATMUL and lowers):
-                assert np.array_equal(grad, first)
-        if not (kernels._LOWERS_TO_MATMUL and lowers):
+            # a sum's rounding is bounded by the magnitudes of its terms, not
+            # by its value, which cancellation can make small
+            terms = np.einsum(f"{out},{so}->{st_}", np.abs(g0), np.abs(other))
+            assert np.all(np.abs(second - first) <= 1e-14 * terms)
+            assert np.all(np.abs(grad - first) <= 1e-14 * terms)
+        if kernels.result_order(spec, a0.shape, b0.shape) is None:
+            # a size-1 axis: contract has no lowering for the gradients either
+            # and g stays first
             assert specs == [f"{out},{sb}->{sa}", f"{out},{sa}->{sb}"]
 
 
