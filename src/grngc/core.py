@@ -88,9 +88,9 @@ class TrainReport:
     backbone: Backbone | None = None
 
 
-# windows per Jacobian block when scoring, fixed so that the block sums, and
-# so the scores, are the same on any core count
-SCORE_BLOCK = 128
+# windows per Jacobian block, in scoring and in the training penalty; fixed so
+# that the block sums, and so the scores, are the same on any core count
+JACOBIAN_BLOCK = 128
 # windows whose blocks are scored at once; bounds the memory of the layer factors
 SCORE_CHUNK = 256
 
@@ -107,40 +107,46 @@ def prediction_loss(backbone: Backbone, dataset: WindowedDataset) -> de.Node:
 
 
 class LossGraph:
-    """Objective of one optimization step: prediction MSE plus
-    lambda * sum over (target, source) of the mean |input Jacobian| over
-    samples and lags. The Jacobian is built from the forward activations, so
-    one backward of `loss` gives the exact second-order parameter gradients."""
+    """Objective of one optimization step: prediction MSE over all windows
+    plus lambda * sum over (target, source) of the mean |input Jacobian| over
+    lags and one block: every s-th window from `step` mod s, s = ceil(n /
+    JACOBIAN_BLOCK). The Jacobian is built from the block's forward
+    activations, so one backward of `loss` gives the exact second-order
+    parameter gradients."""
 
-    def __init__(self, backbone: Backbone, dataset: WindowedDataset, lam: float):
+    def __init__(self, backbone: Backbone, dataset: WindowedDataset, lam: float, step: int = 0):
         self.params = make_param_nodes(backbone)
-        pred, jac = forward_graph(backbone, de.constant(dataset.inputs), self.params, lam > 0)
+        weights = layer_weights(backbone, self.params)
+        pred, _ = forward_graph(backbone, de.constant(dataset.inputs), weights=weights)
         self.loss = self.pred_loss = _mse(pred, dataset.targets)
         self.sparsity = de.constant(0.0)
-        if jac is not None:
+        if lam > 0:
+            stride = -(-dataset.n_samples // JACOBIAN_BLOCK)
+            rows = dataset.inputs[step % stride::stride]
+            jac = forward_graph(backbone, de.constant(rows), jacobian=True, weights=weights)[1]
             # sum |J| = J . sign(J), the sign frozen: subgradient 0 at 0, no 2nd-order term
             sign = de.constant(np.sign(jac.value))
-            weight = de.constant(lam / (dataset.n_samples * dataset.lag))
+            weight = de.constant(lam / (len(rows) * dataset.lag))
             self.sparsity = de.einsum(",->", weight, de.einsum("boi,boi->", jac, sign))
             self.loss = de.add(self.pred_loss, self.sparsity)
 
 
 def infer_gc_matrix(backbone: Backbone, dataset: WindowedDataset) -> GcMatrix:
     """Post-hoc causal scores: mean |input Jacobian| over samples and lags.
-    Blocks of SCORE_BLOCK windows run concurrently, SCORE_CHUNK windows at
-    most, and their sums are added in block order."""
+    Blocks of JACOBIAN_BLOCK windows run concurrently, SCORE_CHUNK windows
+    at most, and their sums are added in block order."""
     keep_freed_memory()
     weights = layer_weights(backbone, [de.constant(a) for a in param_arrays(backbone)])
-    blocks = list(_batches(dataset, SCORE_BLOCK))
+    blocks = list(_batches(dataset, JACOBIAN_BLOCK))
     sums = np.empty((len(blocks), backbone.output_dim, backbone.input_dim))
 
     def abs_sum(i):
         # only this block's Jacobian array outlives the call, not its graph
-        jac = forward_graph(backbone, de.constant(blocks[i].inputs), _jacobian_only=True,
+        jac = forward_graph(backbone, de.constant(blocks[i].inputs), jacobian=True,
                             weights=weights)[1].value
         np.abs(jac, out=jac).sum(axis=0, out=sums[i])
 
-    run_concurrently(abs_sum, len(blocks), SCORE_CHUNK // SCORE_BLOCK)
+    run_concurrently(abs_sum, len(blocks), SCORE_CHUNK // JACOBIAN_BLOCK)
     total = np.zeros((backbone.output_dim, backbone.input_dim))
     for part in sums:
         total += part
@@ -203,7 +209,7 @@ def train(series: TimeSeries, cfg: TrainConfig) -> TrainReport:
         ep_pred = ep_sparse = 0.0
         n_batches = 0
         for batch in _batches(train_set, cfg.batch_size):
-            graph = LossGraph(backbone, batch, cfg.lam)
+            graph = LossGraph(backbone, batch, cfg.lam, step)
             if not np.isfinite(graph.loss.value):
                 raise TrainError(f"non-finite loss at epoch {epoch}")
             grads = [g.value for g in de.backward(graph.loss, graph.params)]

@@ -117,22 +117,19 @@ def layer_weights(backbone: Backbone, param_nodes: list[de.Node]) -> list[tuple]
 
 
 def forward_graph(backbone: Backbone, x: de.Node, param_nodes: list[de.Node] | None = None,
-                  jacobian: bool = False, _jacobian_only: bool = False,
-                  weights: list[tuple] | None = None):
-    """Prediction (batch, n_out) as a graph over the given input and parameter
-    nodes, and with `jacobian` the per-sample input Jacobian
-    J[b, o, i] = d pred[b, o] / d x[b, i] chained from the layer factors, as a
-    differentiable graph too; else None. `weights`, from `layer_weights`,
-    stand in for the parameter nodes where many calls share them.
-    `_jacobian_only`, for scoring, builds the Jacobian alone: the last
-    layer's features, output and bias go unbuilt, and the prediction
-    returned is None."""
+                  jacobian: bool = False, weights: list[tuple] | None = None):
+    """(prediction, None): the prediction (batch, n_out) as a graph over the
+    given input and parameter nodes. With `jacobian`, (None, J): the
+    per-sample input Jacobian J[b, o, i] = d pred[b, o] / d x[b, i] alone,
+    chained from the layer factors as a differentiable graph, with the last
+    layer's features, output and bias unbuilt; the training penalty and
+    scoring read it. `weights`, from `layer_weights`, stand in for the
+    parameter nodes where several calls share them."""
     if x.value.ndim != 2 or x.shape[1] != backbone.input_dim:
         raise BackboneError(f"forward: window shape {x.shape} incompatible with "
                             f"input_dim {backbone.input_dim}")
     if weights is None:
         weights = layer_weights(backbone, param_nodes)
-    jacobian = jacobian or _jacobian_only
     ones = de.constant(np.ones(x.shape[0]))  # broadcasts over the batch
     h = x
     # (einsum spec, node) pairs that right-multiply the Jacobian from the output
@@ -153,8 +150,7 @@ def forward_graph(backbone: Backbone, x: de.Node, param_nodes: list[de.Node] | N
         elif jacobian:
             dfeat = feature_node(h, spec, 1)
             factors.append(("bhi,boh->boi", de.einsum(f"oi{f},bi{f}->boi", w, dfeat)))
-        if _jacobian_only and li == len(weights) - 1:
-            h = None
+        if jacobian and li == len(weights) - 1:
             break
         if not raw:
             h = feature_node(h, spec, dfeat=dfeat)
@@ -168,7 +164,7 @@ def forward_graph(backbone: Backbone, x: de.Node, param_nodes: list[de.Node] | N
         jac = de.einsum("b,oi->boi", ones, jac)
     for chain, factor in reversed(factors):
         jac = de.einsum(chain, factor, jac)
-    return h, jac
+    return None, jac
 
 
 def forward(backbone: Backbone, windows: np.ndarray) -> np.ndarray:

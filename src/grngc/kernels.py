@@ -292,11 +292,14 @@ def contract(spec: str, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     least CONTRACT_FLOOR multiply-adds. It runs whole where fewer than two
     such chunks fit, where the pair has no batch label (a row split changes
     the result of a multi-threaded BLAS), or inside calls that
-    `run_concurrently` runs at once. `np.einsum(spec, a, b, optimize=True)`
-    runs a spec `contract` has no lowering for."""
+    `run_concurrently` runs at once. `np.einsum` runs a spec `contract` has
+    no lowering for, with `optimize=False` where the spec sums no label."""
     lowering = _lowering(spec, a.shape, b.shape)
     if lowering is None:
-        return np.einsum(spec, a, b, optimize=True)
+        # einsum_path lowers a pair to BLAS only where it sums a label; else
+        # both settings run numpy's own loop, and optimize=False skips the search
+        terms, _, out = spec.partition("->")
+        return np.einsum(spec, a, b, optimize=not set(terms.replace(",", "")) <= set(out))
     chunks = 1
     if len(lowering.matmul_shape) == 3 and not _LOCAL.whole:
         chunks = min(_CPUS, lowering.matmul_shape[0], lowering.work // CONTRACT_FLOOR)

@@ -19,7 +19,7 @@ from finite_difference import finite_difference
 from grngc import forecasters as fc
 from grngc import core, kernels
 from grngc.cli import write_outputs
-from grngc.core import (SCORE_BLOCK, SCORE_CHUNK, LossGraph, TrainConfig,
+from grngc.core import (JACOBIAN_BLOCK, SCORE_CHUNK, LossGraph, TrainConfig,
                         TrainError, infer_gc_matrix, prediction_loss, train)
 from grngc.datagen import (TimeSeries, WindowedDataset, random_sparse_var1,
                            simulate_var)
@@ -72,14 +72,14 @@ class TestPredictionLoss:
 def jacobian(bb, inputs):
     """Prediction (n, n_out) and per-sample input Jacobian (n, n_out, n_in)."""
     params = [de.constant(a) for a in fc.param_arrays(bb)]
-    pred, jac = fc.forward_graph(bb, de.constant(np.asarray(inputs, dtype=float)), params,
-                                 jacobian=True)
-    return pred.value, jac.value
+    x = de.constant(np.asarray(inputs, dtype=float))
+    pred, _ = fc.forward_graph(bb, x, params)
+    return pred.value, fc.forward_graph(bb, x, params, jacobian=True)[1].value
 
 
 class TestSummedOutputs:
-    """Scores differentiate the summed outputs s_j = sum_t xhat_{t,j}; the
-    Jacobian pass yields the prediction those sums are taken over."""
+    """Scores differentiate the summed outputs s_j = sum_t xhat_{t,j} of the
+    prediction over the same windows."""
 
     def test_zero_predictor(self):
         pred, jac = jacobian(zero_backbone(3, 3), np.ones((4, 3)))
@@ -200,6 +200,33 @@ class TestSparsityLoss:
         fd = finite_difference(f, theta0.copy(), step=1e-5)
         assert np.max(np.abs(got - fd)) / (np.max(np.abs(fd)) + 1e-12) < 1e-4
 
+    @pytest.mark.parametrize("kind", ["kan", "mlp"])
+    def test_block_gradients_vs_finite_differences(self, kind):
+        # one batch past a block, at step 1: the loss is the MSE over every
+        # window plus the penalty over every second one from the second
+        rng = np.random.default_rng(9)
+        sizes = [3, 2, 2] if kind == "kan" else [3, 4, 2]
+        bb = fc.init_backbone(kind, sizes, seed=9)
+        n = JACOBIAN_BLOCK + 1
+        ds = WindowedDataset(rng.uniform(-1, 1, (n, 3)), rng.normal(size=(n, 2)), lag=1)
+        block = WindowedDataset(ds.inputs[1::2], ds.targets[1::2], lag=1)
+        lam = 0.05
+        shapes = [a.shape for a in fc.param_arrays(bb)]
+        theta0 = np.concatenate([a.reshape(-1) for a in fc.param_arrays(bb)])
+
+        def value(theta, root):
+            bb2 = fc.init_backbone(kind, sizes, seed=9)
+            fc.set_param_arrays(bb2, unflatten(theta, shapes))
+            sparsity = float(LossGraph(bb2, block, lam).sparsity.value)
+            return sparsity + (float(prediction_loss(bb2, ds).value) if root == "loss" else 0.0)
+
+        for root in ("loss", "sparsity"):
+            graph = LossGraph(bb, ds, lam, step=1)
+            got = np.concatenate([g.value.reshape(-1)
+                                  for g in de.backward(getattr(graph, root), graph.params)])
+            fd = finite_difference(lambda theta: value(theta, root), theta0.copy(), step=1e-5)
+            assert np.max(np.abs(got - fd)) / (np.max(np.abs(fd)) + 1e-12) < 1e-4, root
+
 
 def unflatten(theta, shapes):
     parts = []
@@ -290,14 +317,18 @@ class TestGraphLifetime:
 
     @pytest.mark.parametrize("kind", ["kan", "mlp"])
     def test_penalty_holds_three_jacobian_sized_arrays(self, kind):
-        # J, sign(J) and the gradient of J; no |J|, no ones, no products with them
+        # J, sign(J) and the gradient of J over the penalty's block of
+        # windows; no |J|, no ones, no products with them, and past one
+        # block no Jacobian of the whole batch
         rng = np.random.default_rng(0)
         bb = fc.init_backbone(kind, [6, 4, 3], seed=0)
-        ds = WindowedDataset(rng.normal(size=(5, 6)), rng.normal(size=(5, 3)), 2)
-        graph = LossGraph(bb, ds, 1e-2)
-        nodes = reachable([graph.loss, *de.backward(graph.loss, graph.params)])
-        arrays = {id(n.value) for n in nodes if n.shape == (5, 3, 6)}
-        assert len(arrays) == 3
+        for n, rows in ((5, 5), (JACOBIAN_BLOCK + 1, JACOBIAN_BLOCK // 2 + 1)):
+            ds = WindowedDataset(rng.normal(size=(n, 6)), rng.normal(size=(n, 3)), 2)
+            graph = LossGraph(bb, ds, 1e-2)
+            nodes = reachable([graph.loss, *de.backward(graph.loss, graph.params)])
+            arrays = {id(x.value) for x in nodes if x.shape == (rows, 3, 6)}
+            assert len(arrays) == 3
+            assert n == rows or all(x.shape != (n, 3, 6) for x in nodes)
 
     @pytest.mark.parametrize("kind", ["kan", "mlp"])
     def test_nodes_are_add_einsum_and_features(self, kind):
@@ -423,6 +454,26 @@ class TestReplayExactness:
             for g, w in zip(got, want):
                 assert max_err(g.value, w.value) < 1e-10
 
+    @pytest.mark.parametrize("step", [0, 3])
+    @pytest.mark.parametrize("kind,hidden", BACKBONES)
+    def test_penalty_on_one_block(self, kind, hidden, step):
+        # past one block, the MSE reads every window and the penalty every
+        # second one from step mod 2: the replay of those windows alone
+        bb, ds = self.case(kind, hidden, JACOBIAN_BLOCK + 37)
+        block = WindowedDataset(ds.inputs[step % 2::2], ds.targets[step % 2::2], ds.lag)
+        lam = 0.03
+        mse_ref, block_ref = replay_loss(bb, ds, lam), replay_loss(bb, block, lam)
+        want = {"sparsity": [g.value for g in de.backward(block_ref[2], block_ref[3])]}
+        want["loss"] = [g.value + w for g, w in
+                        zip(de.backward(mse_ref[1], mse_ref[3]), want["sparsity"])]
+        graph = LossGraph(bb, ds, lam, step)
+        assert max_err(graph.sparsity.value, block_ref[2].value) < 1e-10
+        assert max_err(graph.loss.value, mse_ref[1].value + block_ref[2].value) < 1e-10
+        for root in ("loss", "sparsity"):
+            graph = LossGraph(bb, ds, lam, step)
+            for g, w in zip(de.backward(getattr(graph, root), graph.params), want[root]):
+                assert max_err(g.value, w) < 1e-10
+
     @pytest.mark.parametrize("kind,hidden", BACKBONES)
     def test_scores_across_chunks(self, kind, hidden):
         bb, ds = self.case(kind, hidden, SCORE_CHUNK + 5)
@@ -520,7 +571,7 @@ class TestInferGcMatrix:
 
 
 class TestConcurrentScoring:
-    """Blocks of SCORE_BLOCK windows scored on the calling thread and the
+    """Blocks of JACOBIAN_BLOCK windows scored on the calling thread and the
     pool at once."""
 
     @staticmethod
@@ -529,7 +580,7 @@ class TestConcurrentScoring:
         # multiply-adds, so a block scored alone splits it
         rng = np.random.default_rng(21)
         bb = fc.init_backbone("kan", [100, 128, 20], seed=21)
-        n = 2 * SCORE_BLOCK + 37
+        n = 2 * JACOBIAN_BLOCK + 37
         return bb, WindowedDataset(rng.uniform(-3, 3, (n, 100)), rng.normal(size=(n, 20)), 5)
 
     @staticmethod
@@ -575,7 +626,7 @@ class TestConcurrentScoring:
         monkeypatch.setattr(kernels, "_lowered", recording)
         monkeypatch.setattr(kernels, "_CPUS", 2)
         bb, ds = self.case()
-        one = WindowedDataset(ds.inputs[:SCORE_BLOCK], ds.targets[:SCORE_BLOCK], ds.lag)
+        one = WindowedDataset(ds.inputs[:JACOBIAN_BLOCK], ds.targets[:JACOBIAN_BLOCK], ds.lag)
         infer_gc_matrix(bb, one)  # a single block runs alone and splits
         assert max(chunks, default=1) == 2
         chunks.clear()
@@ -628,11 +679,12 @@ class TestTrain:
         assert a.pred_losses == b.pred_losses
 
     def test_same_on_any_core_count(self, monkeypatch):
-        # lag 6, p=8, hidden 128: J = F2.F1 of a 256-window batch is three
-        # floors of multiply-adds, so three usable CPUs split it in three
+        # lag 12, p=8, hidden 128: J = F2.F1 of the penalty's 128-window
+        # block of a 256-window batch is three floors of multiply-adds, so
+        # three usable CPUs split it in three
         rng = np.random.default_rng(4)
         series = TimeSeries(rng.normal(size=(300, 8)))
-        cfg = TrainConfig(lag=6, epochs=1, hidden=(128,), seed=4)
+        cfg = TrainConfig(lag=12, epochs=1, hidden=(128,), seed=4)
         chunks = []
         lowered = kernels._lowered
 
